@@ -8,6 +8,7 @@ drawn and printed so the run stays reproducible after the fact.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import secrets
 import sys
@@ -142,10 +143,7 @@ def _cmd_bench(args) -> int:
     workers = args.workers
     if workers is None:
         workers = int(os.environ.get("LQA_WORKERS", spec.workers))
-    spec = bench_mod.BenchSpec(
-        **{**{f.name: getattr(spec, f.name) for f in spec.__dataclass_fields__.values()},
-           "workers": workers},
-    )
+    spec = dataclasses.replace(spec, workers=workers)
     problems = {inst.id: bench_mod.materialize(inst) for inst in spec.instances}
     reports = bench_mod.run_batch(spec, problems)
     bench_mod.write_reports_csv(reports, f"{args.output_prefix}_trials.csv")

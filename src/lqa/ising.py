@@ -10,7 +10,6 @@ quadratic form). The QUBO objective is ``x^T Q x + x^T a`` over
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +79,8 @@ class IsingProblem:
             raise ProblemFormatError(f"b has shape {b.shape}, expected ({J.shape[0]},)")
         object.__setattr__(self, "J", J)
         object.__setattr__(self, "b", _freeze(b))
+        # b is frozen, so scan it once here rather than on every solver step
+        object.__setattr__(self, "_has_bias", bool(np.any(self.b != 0.0)))
 
     @property
     def n(self) -> int:
@@ -87,7 +88,7 @@ class IsingProblem:
 
     @property
     def has_bias(self) -> bool:
-        return bool(np.any(self.b != 0.0))
+        return self._has_bias
 
 
 def as_spins(s) -> np.ndarray:
@@ -277,8 +278,3 @@ def save_instance(p: IsingProblem, path, header_comments=()) -> None:
             lines.append(f"b {i} {float(p.b[i])!r}")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def with_ground_energy(p: IsingProblem, value: float) -> IsingProblem:
-    """Return a copy of p with ground_energy set."""
-    return dataclasses.replace(p, ground_energy=value)

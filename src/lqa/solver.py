@@ -162,8 +162,10 @@ def update_adam(
     k = state.step_index
     if k < 1:
         raise ValueError("Adam requires step_index >= 1")
-    state.m1 = beta1 * state.m1 + (1.0 - beta1) * grad
-    state.m2 = beta2 * state.m2 + (1.0 - beta2) * grad * grad
+    state.m1 *= beta1
+    state.m1 += (1.0 - beta1) * grad
+    state.m2 *= beta2
+    state.m2 += (1.0 - beta2) * grad * grad
     m1_hat = state.m1 / (1.0 - beta1**k)
     m2_hat = state.m2 / (1.0 - beta2**k)
     state.w -= eta * m1_hat / (np.sqrt(m2_hat) + eps)
@@ -216,27 +218,30 @@ def anneal(
     state = SolverState(w=w0)
     trace = TrialTrace() if cfg.trace_stride > 0 else None
     eta = cfg.step_size
-    for i in range(1, cfg.steps + 1):
-        t = cfg.time_at(i)
-        g = gradient(p, state.w, t, cfg.gamma)
-        if not np.all(np.isfinite(g)):
-            raise SolverError(f"non-finite gradient at step {i}")
-        state.step_index = i
-        if cfg.optimizer == "vanilla":
-            update_vanilla(state, g, eta)
-        elif cfg.optimizer == "momentum":
-            update_momentum(state, g, eta, cfg.momentum)
-        else:
-            update_adam(state, g, eta, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
-        if not np.all(np.isfinite(state.w)):
-            raise SolverError(f"non-finite parameters at step {i}")
-        if trace is not None and (i % cfg.trace_stride == 0 or i == cfg.steps):
-            c = cost(p, state.w, t, cfg.gamma)
-            s = spin_readout(state.w)
-            e = float(s @ (p.J @ s))
-            if not math.isfinite(c):
-                raise SolverError(f"non-finite cost at step {i}")
-            trace.append(i, t, c, e)
+    # no numpy warning for inf / inf = nan: the check below reports any
+    # non-finite value as a SolverError naming the step
+    with np.errstate(invalid="ignore"):
+        for i in range(1, cfg.steps + 1):
+            t = cfg.time_at(i)
+            g = gradient(p, state.w, t, cfg.gamma)
+            state.step_index = i
+            if cfg.optimizer == "vanilla":
+                update_vanilla(state, g, eta)
+            elif cfg.optimizer == "momentum":
+                update_momentum(state, g, eta, cfg.momentum)
+            else:
+                update_adam(state, g, eta, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+            # a non-finite gradient always leaves w non-finite at the same
+            # step (Adam turns inf into inf / inf = nan), so one check covers both
+            if not np.isfinite(state.w).all():
+                raise SolverError(f"non-finite parameters at step {i}")
+            if trace is not None and (i % cfg.trace_stride == 0 or i == cfg.steps):
+                c = cost(p, state.w, t, cfg.gamma)
+                s = spin_readout(state.w)
+                e = float(s @ (p.J @ s))
+                if not math.isfinite(c):
+                    raise SolverError(f"non-finite cost at step {i}")
+                trace.append(i, t, c, e)
     return spin_readout(state.w), trace
 
 

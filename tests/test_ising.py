@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -42,6 +44,30 @@ class TestProblemInvariants:
     def test_rejects_bad_bias_shape(self):
         with pytest.raises(ProblemFormatError):
             IsingProblem(J=np.zeros((2, 2)), b=np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "make, expected",
+        [
+            (lambda: IsingProblem(J=np.zeros((2, 2))), False),
+            (lambda: IsingProblem(J=np.zeros((2, 2)), b=np.zeros(2)), False),
+            (lambda: IsingProblem(J=np.zeros((2, 2)), b=np.array([0.0, -0.5])), True),
+            (lambda: qubo_to_ising(QuboProblem(Q=np.zeros((2, 2)), a=np.ones(2))), True),
+            (lambda: qubo_to_ising(QuboProblem(Q=np.zeros((2, 2)), a=np.zeros(2))), False),
+            (lambda: absorb_bias(IsingProblem(J=np.zeros((2, 2)), b=np.ones(2))), False),
+            (lambda: dataclasses.replace(IsingProblem(J=np.zeros((2, 2))), b=np.ones(2)), True),
+            (
+                lambda: dataclasses.replace(
+                    IsingProblem(J=np.zeros((2, 2)), b=np.ones(2)), b=np.zeros(2)
+                ),
+                False,
+            ),
+        ],
+    )
+    def test_has_bias(self, make, expected):
+        p = make()
+        assert p.has_bias is expected
+        # pool workers receive pickled problems
+        assert pickle.loads(pickle.dumps(p)).has_bias is expected
 
     def test_arrays_are_immutable(self):
         p = IsingProblem(J=np.zeros((2, 2)))

@@ -205,10 +205,12 @@ class TestAnneal:
         scale = rng.uniform(0.1, 10.0, size=25)
         np.testing.assert_array_equal(spin_readout(w), spin_readout(w * scale))
 
-    def test_nonfinite_abort_names_step(self, rng):
+    @pytest.mark.filterwarnings("error")  # the SolverError is the only report
+    @pytest.mark.parametrize("optimizer", ["vanilla", "momentum", "adam"])
+    def test_nonfinite_abort_names_step(self, optimizer):
         inf = np.inf
         p = IsingProblem(J=np.array([[0.0, inf], [inf, 0.0]]))
-        cfg = SolverConfig(steps=10, gamma=1.0, step_size=1.0, optimizer="vanilla")
+        cfg = SolverConfig(steps=10, gamma=1.0, step_size=1.0, optimizer=optimizer)
         with pytest.raises(SolverError, match=r"step \d+"):
             anneal(p, cfg, np.array([0.1, 0.2]))
 
