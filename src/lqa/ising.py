@@ -10,6 +10,8 @@ quadratic form). The QUBO objective is ``x^T Q x + x^T a`` over
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +27,15 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _check_finite(arr: np.ndarray, name: str) -> None:
+    if not np.isfinite(arr).all():
+        raise ProblemFormatError(f"{name} has non-finite entries (inf or nan)")
+
+
 def _check_coupling(J: np.ndarray, name: str = "J") -> np.ndarray:
     if J.ndim != 2 or J.shape[0] != J.shape[1]:
         raise ProblemFormatError(f"{name} must be a square matrix, got shape {J.shape}")
+    _check_finite(J, name)
     if not np.array_equal(J, J.T):
         raise ProblemFormatError(f"{name} must be symmetric")
     if np.any(np.diagonal(J) != 0.0):
@@ -48,6 +56,7 @@ class QuboProblem:
         _check_coupling(Q, "Q")
         if a.shape != (Q.shape[0],):
             raise ProblemFormatError(f"a has shape {a.shape}, expected ({Q.shape[0]},)")
+        _check_finite(a, "a")
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "a", a)
 
@@ -77,6 +86,7 @@ class IsingProblem:
         b = np.zeros(J.shape[0]) if b is None else np.asarray(b, dtype=np.float64)
         if b.shape != (J.shape[0],):
             raise ProblemFormatError(f"b has shape {b.shape}, expected ({J.shape[0]},)")
+        _check_finite(b, "b")
         object.__setattr__(self, "J", J)
         object.__setattr__(self, "b", _freeze(b))
         # b is frozen, so scan it once here rather than on every solver step
@@ -186,13 +196,108 @@ def cut_value(p: IsingProblem, s, total_edge_weight: float) -> float:
 # Lines `i j J_ij` with 0-based indices give one coupling per unordered
 # pair (mirrored into both triangles on load); lines `b i b_i` give
 # biases; `#` starts a comment. A `# ground_energy: <float>` comment
-# populates ground_energy. Self-couplings and duplicate pairs are
-# rejected.
+# populates ground_energy. Self-couplings, duplicate pairs, non-finite
+# values and indices at or above MAX_SPINS are rejected.
 # ---------------------------------------------------------------------------
+
+MAX_SPINS = 1 << 14
+"""Cap on the spin count of a loaded instance, checked before the dense
+J is allocated: J then takes at most 2 GiB, and loading briefly holds
+two copies of it."""
+
+# One data row: `b` or the first index, the second index, the value.
+# A first field that fills all 8 bytes may have been truncated.
+_HEAD_BYTES = 8
+_ROW = np.dtype([("head", f"S{_HEAD_BYTES}"), ("j", np.int64), ("val", np.float64)])
 
 
 def load_instance(path) -> IsingProblem:
-    """Load an Ising problem from the text coupling format."""
+    """Load an Ising problem from the text coupling format.
+
+    One bulk pass parses and checks every row; a file it does not
+    accept is read again line by line, which names the first bad line.
+    """
+    try:
+        return _load_bulk(path)
+    except ValueError:
+        return _load_lines(path)
+
+
+def _scan_comments(text: str) -> float | None:
+    """Return the last `# ground_energy:` value, visiting only the `#`s.
+
+    Raises ValueError for a `#` after data on its line, which the line
+    parser rejects, and for a bad ground_energy value.
+    """
+    ground_energy = None
+    pos = text.find("#")
+    while pos >= 0:
+        start = text.rfind("\n", 0, pos) + 1
+        end = text.find("\n", pos)
+        end = len(text) if end < 0 else end
+        if text[start:pos].strip():
+            raise ValueError("'#' after data")
+        body = text[pos + 1 : end].strip()
+        if body.startswith("ground_energy:"):
+            ground_energy = float(body.split(":", 1)[1])
+        pos = text.find("#", end)
+    return ground_energy
+
+
+def _has_repeats(keys: np.ndarray) -> bool:
+    # sort and compare neighbours: np.unique hashes, which is slower here
+    keys = np.sort(keys)
+    return bool(np.any(keys[1:] == keys[:-1]))
+
+
+def _load_bulk(path) -> IsingProblem:
+    """Parse all data rows with one np.loadtxt call and check them as arrays.
+
+    Raises ValueError, without a line number, for any file the line
+    parser would reject or might read differently.
+    """
+    with open(path, "r", encoding="ascii") as fh:
+        text = fh.read()
+        # an S field drops trailing NULs, which int() and float() reject
+        if "\0" in text:
+            raise ValueError("NUL character")
+        ground_energy = _scan_comments(text)
+        del text  # not held while np.loadtxt builds the rows
+        fh.seek(0)
+        with warnings.catch_warnings():
+            # a file without data rows warns; the size check below rejects it
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(fh, dtype=_ROW, comments="#", ndmin=1)
+    if rows.size == 0:
+        raise ValueError("no data rows")
+    head, j, val = rows["head"], rows["j"], rows["val"]
+    if np.char.str_len(head).max() >= _HEAD_BYTES:
+        raise ValueError("first field may be truncated")
+    if not np.isfinite(val).all():
+        raise ValueError("non-finite value")
+    is_bias = head == b"b"
+    bi, bval = j[is_bias], val[is_bias]
+    ci, cj, cval = head[~is_bias].astype(np.int64), j[~is_bias], val[~is_bias]
+    del rows, head, j, val
+    lo, hi = np.minimum(ci, cj), np.maximum(ci, cj)
+    if lo.size and (lo.min() < 0 or hi.max() >= MAX_SPINS or np.any(lo == hi)):
+        raise ValueError("bad coupling index")
+    if bi.size and (bi.min() < 0 or bi.max() >= MAX_SPINS):
+        raise ValueError("bad bias index")
+    if _has_repeats(lo * MAX_SPINS + hi) or _has_repeats(bi):
+        raise ValueError("duplicate coupling or bias")
+    n = int(max(hi.max(initial=-1), bi.max(initial=-1))) + 1
+    J = np.zeros((n, n))
+    J[ci, cj] = cval
+    J[cj, ci] = cval
+    b = np.zeros(n)
+    b[bi] = bval
+    return IsingProblem(J=J, b=b, ground_energy=ground_energy)
+
+
+def _load_lines(path) -> IsingProblem:
+    """Line-by-line parser: the reference for load_instance, and the path
+    that reports a bad file's first bad line by number."""
     entries: dict[tuple[int, int], float] = {}
     biases: dict[int, float] = {}
     ground_energy = None
@@ -224,6 +329,9 @@ def load_instance(path) -> IsingProblem:
                     raise ProblemFormatError(f"{path}:{lineno}: bad bias line") from None
                 if i < 0:
                     raise ProblemFormatError(f"{path}:{lineno}: negative index")
+                _check_index(path, lineno, i)
+                if not math.isfinite(val):
+                    raise ProblemFormatError(f"{path}:{lineno}: non-finite bias {parts[2]}")
                 if i in biases:
                     raise ProblemFormatError(f"{path}:{lineno}: duplicate bias for {i}")
                 biases[i] = val
@@ -235,10 +343,13 @@ def load_instance(path) -> IsingProblem:
                 raise ProblemFormatError(f"{path}:{lineno}: bad coupling line") from None
             if i < 0 or j < 0:
                 raise ProblemFormatError(f"{path}:{lineno}: negative index")
+            _check_index(path, lineno, max(i, j))
             if i == j:
                 raise ProblemFormatError(
                     f"{path}:{lineno}: self-coupling {i} {i} is not allowed"
                 )
+            if not math.isfinite(val):
+                raise ProblemFormatError(f"{path}:{lineno}: non-finite coupling {parts[2]}")
             key = (min(i, j), max(i, j))
             if key in entries:
                 raise ProblemFormatError(
@@ -256,6 +367,13 @@ def load_instance(path) -> IsingProblem:
     for i, val in biases.items():
         b[i] = val
     return IsingProblem(J=J, b=b, ground_energy=ground_energy)
+
+
+def _check_index(path, lineno: int, i: int) -> None:
+    if i >= MAX_SPINS:
+        raise ProblemFormatError(
+            f"{path}:{lineno}: index {i} is at or above the cap of {MAX_SPINS} spins"
+        )
 
 
 def save_instance(p: IsingProblem, path, header_comments=()) -> None:

@@ -63,6 +63,12 @@ class SolverConfig:
             raise ValueError("step_size must be > 0")
         if not 0.0 <= self.momentum <= 1.0:
             raise ValueError("momentum must be in [0, 1]")
+        if not 0.0 <= self.adam_beta1 < 1.0:
+            raise ValueError("adam_beta1 must be in [0, 1)")
+        if not 0.0 <= self.adam_beta2 < 1.0:
+            raise ValueError("adam_beta2 must be in [0, 1)")
+        if not self.adam_eps > 0:
+            raise ValueError("adam_eps must be > 0")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
         if self.trace_stride < 0:
@@ -268,7 +274,11 @@ def solve(p: IsingProblem, cfg: SolverConfig, w0: np.ndarray | None = None) -> S
     s, trace = anneal(work, cfg, w0)
     if p.has_bias:
         s = normalize_ancilla(s)
-    e = objective(p, s)
+    # finite couplings can still overflow the sum; that is reported below
+    with np.errstate(over="ignore"):
+        e = objective(p, s)
+    if not math.isfinite(e):
+        raise SolverError(f"non-finite objective {e!r} after the last step ({cfg.steps})")
     rel = None
     if p.ground_energy is not None and p.ground_energy != 0.0:
         rel = abs((e - p.ground_energy) / p.ground_energy)

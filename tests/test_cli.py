@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -64,6 +65,26 @@ class TestSolve:
         lines = trace.read_text().splitlines()
         assert lines[0] == "step,t,cost,energy"
         assert len(lines) == 5  # steps 5,10,15,20 at stride 5
+
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "text, code, message",
+        [
+            ("0 1 1.0\n0 2 inf\n", 1, ":2: non-finite coupling inf"),
+            ("0 1 nan\n", 1, ":1: non-finite coupling nan"),
+            (f"0 1 1.0\n0 {2**40} 1.0\n", 1, f":2: index {2**40} is at or above the cap"),
+            # finite couplings whose objective overflows for every assignment
+            ("0 1 1e308\n0 2 1e308\n1 2 1e308\n", 2, "non-finite objective -?inf"),
+        ],
+    )
+    def test_bad_values_exit_code(self, capsys, tmp_path, text, code, message):
+        f = tmp_path / "p.txt"
+        f.write_text(text)
+        got, out, err = run_cli(capsys, "solve", str(f), "--steps", "50", "--seed", "1")
+        assert got == code
+        assert re.search(message, err)
+        assert "energy" not in out
 
 
 class TestGenerate:

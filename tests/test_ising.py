@@ -1,9 +1,12 @@
 import dataclasses
 import itertools
+import math
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lqa import (
     IsingProblem,
@@ -18,6 +21,7 @@ from lqa import (
     qubo_to_ising,
     save_instance,
 )
+from lqa.ising import MAX_SPINS, _load_bulk, _load_lines
 from conftest import random_symmetric
 
 
@@ -68,6 +72,21 @@ class TestProblemInvariants:
         assert p.has_bias is expected
         # pool workers receive pickled problems
         assert pickle.loads(pickle.dumps(p)).has_bias is expected
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda v: IsingProblem(J=np.array([[0.0, v], [v, 0.0]])),
+            lambda v: IsingProblem(J=np.zeros((2, 2)), b=np.array([0.0, v])),
+            lambda v: QuboProblem(Q=np.array([[0.0, v], [v, 0.0]]), a=np.zeros(2)),
+            lambda v: QuboProblem(Q=np.zeros((2, 2)), a=np.array([v, 0.0])),
+        ],
+        ids=["J", "b", "Q", "a"],
+    )
+    def test_rejects_non_finite(self, make, bad):
+        with pytest.raises(ProblemFormatError, match="non-finite"):
+            make(bad)
 
     def test_arrays_are_immutable(self):
         p = IsingProblem(J=np.zeros((2, 2)))
@@ -248,3 +267,223 @@ class TestInstanceFormat:
         f2 = tmp_path / "w2.txt"
         save_instance(back, f2)
         assert f.read_bytes() == f2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0 1 inf\n", ":1: non-finite coupling inf"),
+            ("0 1 1.0\n1 2 -inf\n", ":2: non-finite coupling -inf"),
+            ("0 1 nan\n", ":1: non-finite coupling nan"),
+            ("0 1 1e400\n", ":1: non-finite coupling 1e400"),
+            ("0 1 1.0\nb 0 Infinity\n", ":2: non-finite bias Infinity"),
+            ("b 1 nan\n0 1 1.0\n", ":1: non-finite bias nan"),
+        ],
+    )
+    def test_non_finite_value_rejected(self, tmp_path, text, message):
+        f = tmp_path / "p.txt"
+        f.write_text(text)
+        with pytest.raises(ProblemFormatError, match=message):
+            load_instance(f)
+
+    @pytest.mark.filterwarnings("error")  # np.loadtxt warns on input without data
+    @pytest.mark.parametrize("text", ["", "# ground_energy: 1.0\n", "\n \t\n"])
+    def test_file_without_data_rejected(self, tmp_path, text):
+        f = tmp_path / "p.txt"
+        f.write_text(text)
+        with pytest.raises(ProblemFormatError, match="no couplings or biases"):
+            load_instance(f)
+
+    # indices at or above the cap are rejected before J is allocated; a
+    # test must never use an index that could actually allocate
+    @pytest.mark.parametrize(
+        "line, index",
+        [
+            (f"1 {2**40} 1.0", 2**40),
+            (f"{2**40} 1 1.0", 2**40),
+            (f"b {2**40} 1.0", 2**40),
+            (f"0 {MAX_SPINS} 1.0", MAX_SPINS),
+        ],
+    )
+    def test_index_above_cap_rejected(self, tmp_path, line, index):
+        f = tmp_path / "p.txt"
+        f.write_text(f"0 1 1.0\n{line}\n")
+        with pytest.raises(
+            ProblemFormatError, match=f":2: index {index} is at or above the cap of {MAX_SPINS}"
+        ):
+            load_instance(f)
+
+
+# ---------------------------------------------------------------------------
+# Bulk parser against the line-by-line reference
+# ---------------------------------------------------------------------------
+
+_SEPARATORS = st.text(alphabet=" \t", min_size=1, max_size=3)
+_ODD_SEPARATORS = st.text(alphabet=" \t\x0b\x0c\x1c\x1d\x1e\x1f", min_size=1, max_size=3)
+_NEWLINES = st.sampled_from(["\n", "\r\n", "\r"])
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _index_text(draw, i):
+    return draw(st.sampled_from([str(i), f"+{i}", f"00{i}"]))
+
+
+@st.composite
+def _value_text(draw):
+    v = draw(_FINITE)
+    text = draw(st.sampled_from([repr(v), f"{v:g}", f"{v:.3e}", f"{v:+.17g}"]))
+    # rounding the largest floats to fewer digits can overflow to inf
+    return text if math.isfinite(float(text)) else repr(v)
+
+
+@st.composite
+def _instance_lines(draw, separators=_SEPARATORS):
+    """Data, comment and blank lines of a well-formed file, in any order."""
+    n = draw(st.integers(2, 7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    biased = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    if not (chosen or biased):
+        chosen = [pairs[0]]
+
+    def row(*fields):
+        lead = draw(st.sampled_from(["", " ", "\t"]))
+        return lead + "".join(f + draw(separators) for f in fields[:-1]) + fields[-1]
+
+    lines = []
+    for i, j in chosen:
+        if draw(st.booleans()):
+            i, j = j, i
+        lines.append(row(draw(_index_text(i)), draw(_index_text(j)), draw(_value_text())))
+    for i in biased:
+        lines.append(row("b", draw(_index_text(i)), draw(_value_text())))
+    comments = st.one_of(
+        st.just("# a comment"),
+        st.just("#"),
+        st.builds(lambda v: f" # ground_energy: {v!r}", _FINITE),
+        st.builds(lambda v: f"#ground_energy:{v!r} ", _FINITE),
+    )
+    lines += draw(st.lists(comments, max_size=3))
+    lines += draw(st.lists(st.sampled_from(["", " ", "\t "]), max_size=2))
+    return draw(st.permutations(lines))
+
+
+def _join(draw, lines):
+    text = "".join(line + draw(_NEWLINES) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+@st.composite
+def _wellformed_file(draw):
+    return _join(draw, draw(_instance_lines()))
+
+
+# Each malformed row is a defect the line parser rejects wherever it appears.
+_MALFORMED_ROWS = [
+    "0 1",
+    "0 1 2.0 3",
+    "1.0 2 3.0",
+    "0 1.0 3.0",
+    "b 1.0 3.0",
+    "0 1 2.0 # inline",
+    "0 1 2.0#",
+    "0 -1 2.0",
+    "b -1 2.0",
+    "3 3 1.0",
+    "0 1 inf",
+    "0 1 -inf",
+    "0 1 nan",
+    "b 0 nan",
+    "0 1 1e400",
+    f"0 {2**40} 1.0",
+    f"b {2**40} 1.0",
+    "0\x001 1.0",
+    "0 1 1.0\x00",
+    "x 1 1.0",
+    "B 1 1.0",
+    "# ground_energy: twelve",
+]
+# Rows the line parser accepts but the bulk pass leaves to it: a first
+# field too long for the bulk row type, and digit separators.
+_FALLBACK_ROWS = ["0000000000000000000005 6 1.0", "0 1_0 1.0", "1_1 0 1.0"]
+
+
+@st.composite
+def _edited_file(draw, rows):
+    """A well-formed file with one row from `rows`, or a repeated pair or
+    bias, inserted anywhere."""
+    lines = list(draw(_instance_lines(separators=_ODD_SEPARATORS)))
+    defect = draw(
+        st.one_of(
+            st.sampled_from(rows),
+            # a second coupling for a pair or a second bias for a spin
+            st.sampled_from([line for line in lines if line.strip()[:1].isdigit()] or ["3 3 0"])
+            .map(lambda line: " ".join(reversed(line.split()[:2])) + " 1.0"),
+            st.sampled_from([line for line in lines if line.strip().startswith("b")] or ["3 3 0"]),
+        )
+    )
+    lines.insert(draw(st.integers(0, len(lines))), defect)
+    return _join(draw, lines)
+
+
+_malformed_file = _edited_file(_MALFORMED_ROWS)
+
+
+def _outcome(load, path):
+    try:
+        p = load(path)
+    except (ProblemFormatError, UnicodeDecodeError) as exc:
+        return type(exc).__name__, str(exc)
+    return p.J.tobytes(), p.b.tobytes(), p.ground_energy
+
+
+class TestBulkParser:
+    # the fixed example sequence keeps the suite reproducible
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(text=_wellformed_file())
+    def test_bulk_equals_line_parser(self, tmp_path_factory, text):
+        f = tmp_path_factory.mktemp("bulk") / "p.txt"
+        f.write_bytes(text.encode("ascii"))
+        assert _outcome(_load_bulk, f) == _outcome(_load_lines, f)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(text=_edited_file(_MALFORMED_ROWS + _FALLBACK_ROWS))
+    def test_load_instance_equals_line_parser(self, tmp_path_factory, text):
+        """Whatever the bulk pass accepts, it reads as the line parser does;
+        a file it rejects goes to the line parser, whose error names the line."""
+        f = tmp_path_factory.mktemp("any") / "p.txt"
+        f.write_bytes(text.encode("ascii"))
+        assert _outcome(load_instance, f) == _outcome(_load_lines, f)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(text=_malformed_file)
+    def test_malformed_file_rejected_with_line_number(self, tmp_path_factory, text):
+        f = tmp_path_factory.mktemp("bad") / "p.txt"
+        f.write_bytes(text.encode("ascii"))
+        with pytest.raises(ProblemFormatError, match=r"p\.txt:\d+: "):
+            load_instance(f)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 6),
+        data=st.data(),
+        ground_energy=st.one_of(st.none(), _FINITE),
+    )
+    def test_save_load_round_trip(self, tmp_path_factory, n, data, ground_energy):
+        values = data.draw(st.lists(_FINITE | st.just(0.0), min_size=n * n + n, max_size=n * n + n))
+        J = np.triu(np.array(values[: n * n]).reshape(n, n), 1)
+        J = J + J.T
+        b = np.array(values[n * n :])
+        if not (J.any() or b.any()):
+            b[0] = 1.0  # an all-zero problem writes no data lines
+        p = IsingProblem(J=J, b=b, ground_energy=ground_energy)
+        f = tmp_path_factory.mktemp("rt") / "p.txt"
+        save_instance(p, f)
+        back = load_instance(f)
+        # zero entries are not written, so the loaded problem may be
+        # smaller when the trailing spins are isolated
+        assert back.n <= n
+        assert np.array_equal(back.J, p.J[: back.n, : back.n])
+        assert np.array_equal(back.b, p.b[: back.n])
+        assert not p.J[back.n :].any() and not p.b[back.n :].any()
+        assert back.ground_energy == ground_energy

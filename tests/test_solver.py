@@ -14,6 +14,7 @@ from lqa import (
     energy,
     gradient,
     init_weights,
+    solve,
 )
 from lqa.solver import (
     spin_readout,
@@ -208,9 +209,10 @@ class TestAnneal:
     @pytest.mark.filterwarnings("error")  # the SolverError is the only report
     @pytest.mark.parametrize("optimizer", ["vanilla", "momentum", "adam"])
     def test_nonfinite_abort_names_step(self, optimizer):
-        inf = np.inf
-        p = IsingProblem(J=np.array([[0.0, inf], [inf, 0.0]]))
-        cfg = SolverConfig(steps=10, gamma=1.0, step_size=1.0, optimizer=optimizer)
+        # IsingProblem rejects non-finite couplings, so the first update
+        # takes w to inf through an infinite step size instead
+        p = IsingProblem(J=np.array([[0.0, 1.0], [1.0, 0.0]]))
+        cfg = SolverConfig(steps=10, gamma=1.0, step_size=np.inf, optimizer=optimizer)
         with pytest.raises(SolverError, match=r"step \d+"):
             anneal(p, cfg, np.array([0.1, 0.2]))
 
@@ -253,8 +255,25 @@ class TestConfigValidation:
             {"momentum": 1.5},
             {"optimizer": "sgd"},
             {"trace_stride": -1},
+            {"adam_beta1": 1.0},
+            {"adam_beta1": -0.1},
+            {"adam_beta2": 1.0},
+            {"adam_beta2": float("nan")},
+            {"adam_eps": 0.0},
+            {"adam_eps": -1e-8},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+
+class TestSolve:
+    # three mutually coupled spins: for every spin assignment some row of
+    # J @ s sums two 1e308 terms, so the objective overflows
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowed_objective_raises(self):
+        J = np.full((3, 3), 1e308) - np.diag([1e308] * 3)
+        cfg = SolverConfig(steps=50, seed=1)
+        with pytest.raises(SolverError, match=r"non-finite objective .* last step \(50\)"):
+            solve(IsingProblem(J=J), cfg)
