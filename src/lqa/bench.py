@@ -13,7 +13,8 @@ import concurrent.futures
 import json
 import os
 import time
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,19 +38,28 @@ class InstanceSpec:
     step_size: float | None = None  # per-instance override
     maxcut: bool = False
 
+    def __post_init__(self):
+        needs = {"pm1": ("n",), "wishart": ("n", "alpha")}.get(self.generator, ())
+        if self.file is None and any(getattr(self, k) is None for k in needs):
+            names = " and ".join(needs)
+            raise ValueError(f"instance {self.id!r}: generator {self.generator!r} needs {names}")
+
 
 @dataclass(frozen=True)
 class BenchSpec:
+    """A bench run. The solver settings default to ``SolverConfig``'s and
+    are checked by building each instance's config on construction."""
+
     instances: tuple[InstanceSpec, ...]
     trials: int = 1
     seed: int = 0
-    steps: int = 500
-    gamma: float = 0.1
-    step_size: float = 1.0
-    momentum: float = 0.9
-    optimizer: str = "adam"
-    init_scale: float = 0.1
-    trace_stride: int = 0
+    steps: int = SolverConfig.steps
+    gamma: float = SolverConfig.gamma
+    step_size: float = SolverConfig.step_size
+    momentum: float = SolverConfig.momentum
+    optimizer: str = SolverConfig.optimizer
+    init_scale: float = SolverConfig.init_scale
+    trace_stride: int = SolverConfig.trace_stride
     workers: int = 1
 
     def __post_init__(self):
@@ -57,6 +67,26 @@ class BenchSpec:
             raise ValueError("trials must be >= 1")
         if not self.instances:
             raise ValueError("spec names no instances")
+        self.solver_config()
+        seen = set()
+        for inst in self.instances:
+            # run_batch keys problems, and lqa bench its trace files, by id
+            if inst.id in seen:
+                raise ValueError(f"duplicate instance id {inst.id!r}")
+            seen.add(inst.id)
+            try:
+                self.solver_config(inst)
+            except ValueError as exc:
+                raise ValueError(f"instance {inst.id!r}: {exc}") from None
+
+    def solver_config(self, inst: InstanceSpec | None = None) -> SolverConfig:
+        """The settings for the trials of ``inst``, whose ``step_size``
+        overrides the spec's when set. ``seed`` is not passed: the spec's
+        is the base of the per-trial seeds."""
+        settings = {f.name: getattr(self, f.name) for f in fields(SolverConfig) if f.name != "seed"}
+        if inst is not None and inst.step_size is not None:
+            settings["step_size"] = inst.step_size
+        return SolverConfig(**settings)
 
 
 @dataclass
@@ -72,44 +102,47 @@ class TrialReport:
     trace: TrialTrace | None = None
 
 
+def _checked(entry: dict, cls, where: str) -> dict:
+    """``entry`` as keyword arguments of dataclass ``cls``. A key that
+    names no field of ``cls``, or a value whose JSON type does not fit
+    the field's type, raises ValueError naming it."""
+    hints = typing.get_type_hints(cls)
+    names = {f.name for f in fields(cls)}
+    for key, value in entry.items():
+        if key not in names:
+            raise ValueError(f"{where}unknown key {key!r}")
+        kinds = typing.get_args(hints[key]) or (hints[key],)
+        if float in kinds:
+            kinds += (int,)  # JSON writes a whole float such as 1.0 as 1
+        # isinstance counts a bool as an int
+        if not isinstance(value, kinds) or isinstance(value, bool) != (bool in kinds):
+            raise ValueError(f"{where}bad value {value!r} for {key!r}")
+    return entry
+
+
 def load_bench_spec(path) -> BenchSpec:
-    """Read a JSON bench spec; see README for the schema."""
+    """Read a JSON bench spec; see README for the schema. A bad spec
+    raises ValueError naming the file, before any instance is materialized."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    version = data.get("version")
-    if version != SPEC_VERSION:
-        raise ValueError(f"unsupported spec version {version!r} (expect {SPEC_VERSION})")
-    insts = []
-    for entry in data.get("instances", []):
-        insts.append(
-            InstanceSpec(
-                id=str(entry["id"]),
-                file=entry.get("file"),
-                generator=entry.get("generator"),
-                n=entry.get("n"),
-                alpha=entry.get("alpha"),
-                gen_seed=entry.get("gen_seed", 0),
-                step_size=entry.get("step_size"),
-                maxcut=bool(entry.get("maxcut", False)),
-            )
-        )
-    kwargs = {
-        k: data[k]
-        for k in (
-            "trials",
-            "seed",
-            "steps",
-            "gamma",
-            "step_size",
-            "momentum",
-            "optimizer",
-            "init_scale",
-            "trace_stride",
-            "workers",
-        )
-        if k in data
-    }
-    return BenchSpec(instances=tuple(insts), **kwargs)
+    try:
+        if not isinstance(data, dict):
+            raise ValueError("expected a JSON object")
+        data = dict(data)
+        version = data.pop("version", None)
+        if version != SPEC_VERSION:
+            raise ValueError(f"unsupported spec version {version!r} (expect {SPEC_VERSION})")
+        entries = data.pop("instances", [])
+        if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+            raise ValueError("'instances' must be a list of JSON objects")
+        insts = []
+        for k, entry in enumerate(entries):
+            if "id" not in entry:
+                raise ValueError(f"instances[{k}]: missing key 'id'")
+            insts.append(InstanceSpec(**_checked(entry, InstanceSpec, f"instances[{k}]: ")))
+        return BenchSpec(instances=tuple(insts), **_checked(data, BenchSpec, ""))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def materialize(inst: InstanceSpec) -> IsingProblem:
@@ -132,22 +165,9 @@ def trial_seed(base_seed: int, instance_index: int, trial_index: int) -> np.rand
     return np.random.SeedSequence([base_seed, instance_index, trial_index])
 
 
-def _solver_config(spec: BenchSpec, inst: InstanceSpec) -> SolverConfig:
-    eta = inst.step_size if inst.step_size is not None else spec.step_size
-    return SolverConfig(
-        steps=spec.steps,
-        gamma=spec.gamma,
-        step_size=eta,
-        momentum=spec.momentum,
-        optimizer=spec.optimizer,
-        init_scale=spec.init_scale,
-        trace_stride=spec.trace_stride,
-    )
-
-
 def _run_trial(args) -> TrialReport:
     spec, inst_idx, inst, problem, trial = args
-    cfg = _solver_config(spec, inst)
+    cfg = spec.solver_config(inst)
     w0 = init_weights(
         problem.n if not problem.has_bias else problem.n + 1,
         cfg.init_scale,

@@ -39,23 +39,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve one instance file", parents=[])
     p_solve.add_argument("instance", help="path to a text-format instance file")
-    p_solve.add_argument("--steps", type=int, default=1000, help="anneal steps N (default 1000)")
-    p_solve.add_argument("--gamma", type=float, default=0.1, help="coupling-term strength (default 0.1)")
-    p_solve.add_argument("--eta", type=float, default=1.0, help="step size (default 1)")
-    p_solve.add_argument(
-        "--optimizer", choices=OPTIMIZERS, default="adam", help="update rule (default adam)"
-    )
-    p_solve.add_argument(
-        "--momentum", type=float, default=0.99, help="momentum coefficient (default 0.99)"
-    )
-    p_solve.add_argument(
-        "--init-scale", type=float, default=0.1, help="initial weight scale (default 0.1)"
-    )
+    p_solve.add_argument("--steps", type=int, default=SolverConfig.steps,
+                         help="anneal steps N (default %(default)s)")
+    p_solve.add_argument("--gamma", type=float, default=SolverConfig.gamma,
+                         help="coupling-term strength (default %(default)s)")
+    p_solve.add_argument("--eta", type=float, default=SolverConfig.step_size,
+                         help="step size (default %(default)s)")
+    p_solve.add_argument("--optimizer", choices=OPTIMIZERS, default=SolverConfig.optimizer,
+                         help="update rule (default %(default)s)")
+    p_solve.add_argument("--momentum", type=float, default=SolverConfig.momentum,
+                         help="momentum coefficient (default %(default)s)")
+    p_solve.add_argument("--init-scale", type=float, default=SolverConfig.init_scale,
+                         help="initial weight scale (default %(default)s)")
     p_solve.add_argument("--seed", type=int, default=None, help="RNG seed (random if omitted)")
     p_solve.add_argument("--trace", metavar="PATH", help="write per-step trace CSV here")
-    p_solve.add_argument(
-        "--trace-stride", type=int, default=1, help="record every k-th step (default 1)"
-    )
+    # the stride once --trace is given; SolverConfig.trace_stride's 0 means no trace
+    p_solve.add_argument("--trace-stride", type=int, default=1,
+                         help="record every k-th step of the trace (default %(default)s)")
     p_solve.add_argument("--output", metavar="PATH", help="also write the result lines to a file")
 
     p_gen = sub.add_parser("generate", help="generate an instance file")
@@ -144,8 +144,7 @@ def _cmd_bench(args) -> int:
     if workers is None:
         workers = int(os.environ.get("LQA_WORKERS", spec.workers))
     spec = dataclasses.replace(spec, workers=workers)
-    problems = {inst.id: bench_mod.materialize(inst) for inst in spec.instances}
-    reports = bench_mod.run_batch(spec, problems)
+    reports = bench_mod.run_batch(spec)
     bench_mod.write_reports_csv(reports, f"{args.output_prefix}_trials.csv")
     bench_mod.write_summary_csv(bench_mod.summarize(reports), f"{args.output_prefix}_summary.csv")
     if spec.trace_stride > 0:

@@ -87,6 +87,8 @@ class IsingProblem:
         if b.shape != (J.shape[0],):
             raise ProblemFormatError(f"b has shape {b.shape}, expected ({J.shape[0]},)")
         _check_finite(b, "b")
+        if self.ground_energy is not None and not math.isfinite(self.ground_energy):
+            raise ProblemFormatError(f"non-finite ground_energy {self.ground_energy!r}")
         object.__setattr__(self, "J", J)
         object.__setattr__(self, "b", _freeze(b))
         # b is frozen, so scan it once here rather than on every solver step
@@ -240,6 +242,8 @@ def _scan_comments(text: str) -> float | None:
         body = text[pos + 1 : end].strip()
         if body.startswith("ground_energy:"):
             ground_energy = float(body.split(":", 1)[1])
+            if not math.isfinite(ground_energy):
+                raise ValueError("non-finite ground_energy")
         pos = text.find("#", end)
     return ground_energy
 
@@ -313,9 +317,9 @@ def _load_lines(path) -> IsingProblem:
                     try:
                         ground_energy = float(body.split(":", 1)[1])
                     except ValueError:
-                        raise ProblemFormatError(
-                            f"{path}:{lineno}: bad ground_energy value"
-                        ) from None
+                        ground_energy = math.nan  # rejected below, as inf and nan are
+                    if not math.isfinite(ground_energy):
+                        raise ProblemFormatError(f"{path}:{lineno}: bad ground_energy value")
                 continue
             parts = line.split()
             if len(parts) != 3:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -35,23 +34,19 @@ class SolverError(RuntimeError):
 class SolverConfig:
     """Hyperparameters for one annealing run.
 
-    ``schedule`` maps (step index i, total steps N) to t in [0, 1] and
-    must be non-decreasing; the default is the linear ramp t = i / N.
-    ``trace_stride`` > 0 records (step, t, cost, energy) every that
-    many steps; 0 disables tracing.
+    The one source of the solver defaults: the CLI flags and the bench
+    spec take theirs from these fields. Step i of N anneals at
+    t = i / N. ``trace_stride`` > 0 records (step, t, cost, energy)
+    every that many steps; 0 disables tracing.
     """
 
     steps: int = 1000
     gamma: float = 0.1
     step_size: float = 1.0
-    momentum: float = 0.9
+    momentum: float = 0.99
     optimizer: str = "adam"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     init_scale: float = 0.1
     seed: int = 0
-    schedule: Callable[[int, int], float] | None = None
     trace_stride: int = 0
 
     def __post_init__(self):
@@ -63,21 +58,10 @@ class SolverConfig:
             raise ValueError("step_size must be > 0")
         if not 0.0 <= self.momentum <= 1.0:
             raise ValueError("momentum must be in [0, 1]")
-        if not 0.0 <= self.adam_beta1 < 1.0:
-            raise ValueError("adam_beta1 must be in [0, 1)")
-        if not 0.0 <= self.adam_beta2 < 1.0:
-            raise ValueError("adam_beta2 must be in [0, 1)")
-        if not self.adam_eps > 0:
-            raise ValueError("adam_eps must be > 0")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
         if self.trace_stride < 0:
             raise ValueError("trace_stride must be >= 0")
-
-    def time_at(self, i: int) -> float:
-        if self.schedule is None:
-            return i / self.steps
-        return self.schedule(i, self.steps)
 
 
 @dataclass
@@ -85,25 +69,15 @@ class SolverState:
     """Mutable per-trial state: parameters plus optimizer buffers."""
 
     w: np.ndarray
-    velocity: np.ndarray = field(default=None)  # type: ignore[assignment]
-    m1: np.ndarray = field(default=None)  # type: ignore[assignment]
-    m2: np.ndarray = field(default=None)  # type: ignore[assignment]
     step_index: int = 0
+    velocity: np.ndarray = field(init=False)
+    m1: np.ndarray = field(init=False)
+    m2: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=np.float64).copy()
         n = self.w.shape[0]
-        if self.velocity is None:
-            self.velocity = np.zeros(n)
-        if self.m1 is None:
-            self.m1 = np.zeros(n)
-        if self.m2 is None:
-            self.m2 = np.zeros(n)
-
-    def caches(self) -> tuple[np.ndarray, np.ndarray]:
-        """Recompute z = sin(theta), x = cos(theta) from w."""
-        theta = HALF_PI * np.tanh(self.w)
-        return np.sin(theta), np.cos(theta)
+        self.velocity, self.m1, self.m2 = np.zeros(n), np.zeros(n), np.zeros(n)
 
 
 def spin_readout(w: np.ndarray) -> np.ndarray:
@@ -212,7 +186,7 @@ def anneal(
 ) -> tuple[np.ndarray, TrialTrace | None]:
     """Run the anneal loop and return (sign(w), trace or None).
 
-    For i = 1..N: t = schedule(i), one gradient evaluation, one
+    For i = 1..N: t = i / N, one gradient evaluation, one
     optimizer update. Deterministic given (p, cfg, w0); no randomness
     is consumed inside the loop.
     """
@@ -228,7 +202,7 @@ def anneal(
     # non-finite value as a SolverError naming the step
     with np.errstate(invalid="ignore"):
         for i in range(1, cfg.steps + 1):
-            t = cfg.time_at(i)
+            t = i / cfg.steps
             g = gradient(p, state.w, t, cfg.gamma)
             state.step_index = i
             if cfg.optimizer == "vanilla":
@@ -236,7 +210,7 @@ def anneal(
             elif cfg.optimizer == "momentum":
                 update_momentum(state, g, eta, cfg.momentum)
             else:
-                update_adam(state, g, eta, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+                update_adam(state, g, eta)
             # a non-finite gradient always leaves w non-finite at the same
             # step (Adam turns inf into inf / inf = nan), so one check covers both
             if not np.isfinite(state.w).all():

@@ -13,7 +13,7 @@ from lqa.bench import (
     write_reports_csv,
     write_summary_csv,
 )
-from lqa.solver import TrialTrace
+from lqa.solver import SolverConfig, TrialTrace
 
 
 def make_report(instance="a", trial=0, rel=None, cut=None, energy=0.0, failed=False):
@@ -191,7 +191,50 @@ class TestSpecFile:
         spec = load_bench_spec(spec_path)
         assert spec.trials == 2 and spec.optimizer == "momentum"
         assert spec.instances[0].step_size == 2.0
+        assert spec.solver_config(spec.instances[0]).step_size == 2.0
         assert materialize(spec.instances[0]).n == 10
+
+    def test_omitted_settings_take_solver_config_defaults(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(
+            '{"version": 1, "instances": [{"id": "a", "generator": "pm1", "n": 4}]}'
+        )
+        spec = load_bench_spec(spec_path)
+        assert spec.solver_config() == spec.solver_config(spec.instances[0]) == SolverConfig()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"momentm": 0.5}, r"unknown key 'momentm'"),
+            ({"instances": [{"id": "a", "generator": "pm1", "nn": 4}]},
+             r"instances\[0\]: unknown key 'nn'"),
+            ({"instances": [{"generator": "pm1", "n": 4}]}, r"instances\[0\]: missing key 'id'"),
+            ({"instances": {"id": "a"}}, "'instances' must be a list"),
+            ({"trials": "2"}, "bad value '2' for 'trials'"),
+            ({"steps": True}, "bad value True for 'steps'"),
+            ({"instances": [{"id": "w", "generator": "wishart", "n": 4}]},
+             "instance 'w': generator 'wishart' needs n and alpha"),
+            ({"instances": [{"id": "a", "generator": "pm1", "n": 6},
+                            {"id": "a", "generator": "pm1", "n": 8}]},
+             "duplicate instance id 'a'"),
+            ({"optimizer": "sgd"}, "optimizer must be one of"),
+            ({"momentum": 1.5}, r"momentum must be in \[0, 1\]"),
+            ({"instances": [{"id": "a", "generator": "pm1", "n": 4, "step_size": 0}]},
+             "instance 'a': step_size must be > 0"),
+        ],
+        ids=[
+            "unknown-key", "unknown-instance-key", "missing-id", "instances-not-list",
+            "string-for-int", "bool-for-int", "wishart-without-alpha", "duplicate-id",
+            "bad-optimizer", "bad-momentum", "bad-instance-step-size",
+        ],
+    )
+    def test_bad_spec_rejected(self, tmp_path, edit, message):
+        spec_path = tmp_path / "spec.json"
+        spec = {"version": 1, "steps": 20, "instances": [{"id": "a", "generator": "pm1", "n": 4}]}
+        spec_path.write_text(json.dumps({**spec, **edit}))
+        with pytest.raises(ValueError, match=message) as exc:
+            load_bench_spec(spec_path)
+        assert str(exc.value).startswith(f"{spec_path}: ")
 
     def test_wrong_version_rejected(self, tmp_path):
         spec_path = tmp_path / "spec.json"

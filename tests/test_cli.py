@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from lqa import brute_force_ground, load_instance
+from lqa import SolverConfig, brute_force_ground, load_instance
 from lqa.cli import build_parser, main
 
 
@@ -76,6 +76,8 @@ class TestSolve:
             (f"0 1 1.0\n0 {2**40} 1.0\n", 1, f":2: index {2**40} is at or above the cap"),
             # finite couplings whose objective overflows for every assignment
             ("0 1 1e308\n0 2 1e308\n1 2 1e308\n", 2, "non-finite objective -?inf"),
+            ("# ground_energy: nan\n0 1 1.0\n", 1, ":1: bad ground_energy value"),
+            ("0 1 1.0\n# ground_energy: -inf\n", 1, ":2: bad ground_energy value"),
         ],
     )
     def test_bad_values_exit_code(self, capsys, tmp_path, text, code, message):
@@ -154,6 +156,28 @@ class TestBench:
         assert code == 1
         assert not (tmp_path / "run_trials.csv").exists()
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"momentm": 0.5}, "unknown key 'momentm'"),
+            ({"instances": [{"id": "a", "generator": "pm1", "n": 6},
+                            {"id": "a", "generator": "pm1", "n": 8}]},
+             "duplicate instance id 'a'"),
+            # the setting is checked before the missing file is opened
+            ({"momentum": 1.5, "instances": [{"id": "f", "file": "/no/such/file.txt"}]},
+             "momentum must be in"),
+        ],
+        ids=["unknown-key", "duplicate-id", "bad-setting"],
+    )
+    def test_bad_spec_exits_one(self, capsys, tmp_path, extra, message):
+        spec = self._spec_file(tmp_path, **extra)
+        code, _, err = run_cli(
+            capsys, "bench", spec, "--output-prefix", str(tmp_path / "run")
+        )
+        assert code == 1
+        assert err.startswith(f"lqa: error: {spec}: ") and message in err
+        assert not (tmp_path / "run_trials.csv").exists()
+
     def test_worker_counts_agree(self, capsys, tmp_path):
         def run(workers, prefix):
             spec = self._spec_file(tmp_path, trials=3)
@@ -200,6 +224,13 @@ class TestHelp:
             "--init-scale", "--seed", "--trace", "--trace-stride", "--output",
         ):
             assert flag in out
+
+    def test_solve_defaults_are_solver_config_defaults(self):
+        args = build_parser().parse_args(["solve", "f"])
+        cfg = SolverConfig()
+        flags = (args.steps, args.gamma, args.eta, args.momentum, args.optimizer, args.init_scale)
+        fields = (cfg.steps, cfg.gamma, cfg.step_size, cfg.momentum, cfg.optimizer, cfg.init_scale)
+        assert flags == fields
 
     def test_usage_error_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:

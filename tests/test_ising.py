@@ -81,8 +81,9 @@ class TestProblemInvariants:
             lambda v: IsingProblem(J=np.zeros((2, 2)), b=np.array([0.0, v])),
             lambda v: QuboProblem(Q=np.array([[0.0, v], [v, 0.0]]), a=np.zeros(2)),
             lambda v: QuboProblem(Q=np.zeros((2, 2)), a=np.array([v, 0.0])),
+            lambda v: IsingProblem(J=np.zeros((2, 2)), ground_energy=v),
         ],
-        ids=["J", "b", "Q", "a"],
+        ids=["J", "b", "Q", "a", "ground_energy"],
     )
     def test_rejects_non_finite(self, make, bad):
         with pytest.raises(ProblemFormatError, match="non-finite"):
@@ -402,6 +403,8 @@ _MALFORMED_ROWS = [
     "x 1 1.0",
     "B 1 1.0",
     "# ground_energy: twelve",
+    "# ground_energy: nan",
+    "# ground_energy: inf",
 ]
 # Rows the line parser accepts but the bulk pass leaves to it: a first
 # field too long for the bulk row type, and digit separators.
