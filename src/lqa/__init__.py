@@ -13,13 +13,9 @@ from .ising import (
     IsingProblem,
     ProblemFormatError,
     QuboProblem,
-    absorb_bias,
-    as_spins,
     cut_value,
-    energy,
     graph_total_weight,
     load_instance,
-    normalize_ancilla,
     objective,
     qubo_to_ising,
     save_instance,
@@ -28,7 +24,6 @@ from .solver import (
     SolveResult,
     SolverConfig,
     SolverError,
-    SolverState,
     TrialTrace,
     anneal,
     cost,
@@ -49,16 +44,12 @@ __all__ = [
     "SolveResult",
     "SolverConfig",
     "SolverError",
-    "SolverState",
     "TrialReport",
     "TrialTrace",
-    "absorb_bias",
     "anneal",
-    "as_spins",
     "brute_force_ground",
     "cost",
     "cut_value",
-    "energy",
     "gen_random_pm1",
     "gen_wishart",
     "gradient",
@@ -66,7 +57,6 @@ __all__ = [
     "init_weights",
     "load_bench_spec",
     "load_instance",
-    "normalize_ancilla",
     "objective",
     "qubo_to_ising",
     "run_batch",

@@ -14,13 +14,13 @@ import json
 import os
 import time
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .generators import gen_random_pm1, gen_wishart
 from .ising import IsingProblem, cut_value, graph_total_weight, load_instance
-from .solver import SolverConfig, SolverError, TrialTrace, init_weights, solve
+from .solver import SolverConfig, SolverError, TrialTrace, solve
 
 SPEC_VERSION = 1
 
@@ -65,6 +65,10 @@ class BenchSpec:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
         if not self.instances:
             raise ValueError("spec names no instances")
         self.solver_config()
@@ -167,15 +171,10 @@ def trial_seed(base_seed: int, instance_index: int, trial_index: int) -> np.rand
 
 def _run_trial(args) -> TrialReport:
     spec, inst_idx, inst, problem, trial = args
-    cfg = spec.solver_config(inst)
-    w0 = init_weights(
-        problem.n if not problem.has_bias else problem.n + 1,
-        cfg.init_scale,
-        trial_seed(spec.seed, inst_idx, trial),
-    )
+    cfg = replace(spec.solver_config(inst), seed=trial_seed(spec.seed, inst_idx, trial))
     start = time.perf_counter()
     try:
-        result = solve(problem, cfg, w0)
+        result = solve(problem, cfg)
     except SolverError:
         wall = (time.perf_counter() - start) * 1e3
         return TrialReport(inst.id, trial, spec.steps, None, None, None, wall, True)
@@ -200,12 +199,16 @@ def run_batch(spec: BenchSpec, problems: dict[str, IsingProblem] | None = None) 
     """Run every (instance, trial) pair and return reports in
     deterministic (instance, trial) order regardless of worker count.
 
-    All instances are materialized up front so a bad reference fails
-    before any trial runs. Failed trials (non-finite values) are
-    recorded with failed=True and the batch continues.
+    All instances are materialized up front so a bad reference, or a
+    biased Max-Cut instance, fails before any trial runs. Failed trials
+    (non-finite values) are recorded with failed=True and the batch
+    continues.
     """
     if problems is None:
         problems = {inst.id: materialize(inst) for inst in spec.instances}
+    for inst in spec.instances:
+        if inst.maxcut and problems[inst.id].has_bias:
+            raise ValueError(f"instance {inst.id!r}: maxcut needs a problem without bias")
     jobs = [
         (spec, inst_idx, inst, problems[inst.id], trial)
         for inst_idx, inst in enumerate(spec.instances)

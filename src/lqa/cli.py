@@ -19,7 +19,7 @@ from . import bench as bench_mod
 from .generators import gen_random_pm1, gen_wishart
 from .ising import ProblemFormatError, load_instance, save_instance
 from .oracle import MAX_BRUTE_FORCE_SPINS, brute_force_ground, estimate_brute_force_seconds
-from .solver import OPTIMIZERS, SolverConfig, SolverError, init_weights, solve
+from .solver import OPTIMIZERS, SolverConfig, SolverError, solve
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -160,10 +160,6 @@ def _cmd_bench(args) -> int:
 
 def _cmd_oracle(args) -> int:
     problem = load_instance(args.instance)
-    from .ising import absorb_bias
-
-    if problem.has_bias:
-        problem = absorb_bias(problem)
     if problem.n > MAX_BRUTE_FORCE_SPINS:
         if not args.force:
             raise ProblemFormatError(

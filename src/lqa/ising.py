@@ -155,18 +155,8 @@ def normalize_ancilla(s: np.ndarray) -> np.ndarray:
     return s[:-1]
 
 
-def energy(p: IsingProblem, s) -> float:
-    """Evaluate s^T J s for a bias-free problem."""
-    if p.has_bias:
-        raise ValueError("problem has a nonzero bias; call absorb_bias first")
-    s = as_spins(s)
-    if s.shape != (p.n,):
-        raise ValueError(f"spin vector has shape {s.shape}, expected ({p.n},)")
-    return float(s @ (p.J @ s))
-
-
 def objective(p: IsingProblem, s) -> float:
-    """Evaluate the full objective s^T J s + s^T b (bias allowed)."""
+    """Evaluate the objective s^T J s + s^T b of any problem."""
     s = as_spins(s)
     if s.shape != (p.n,):
         raise ValueError(f"spin vector has shape {s.shape}, expected ({p.n},)")
@@ -187,9 +177,12 @@ def cut_value(p: IsingProblem, s, total_edge_weight: float) -> float:
     """Cut value of the partition induced by s.
 
     With J_ij = w_ij / 2 on both triangles, s^T J s equals the signed
-    edge sum and cut(s) = (W_total - s^T J s) / 2.
+    edge sum and cut(s) = (W_total - s^T J s) / 2. A Max-Cut problem has
+    no bias.
     """
-    return (total_edge_weight - energy(p, s)) / 2.0
+    if p.has_bias:
+        raise ValueError("Max-Cut is defined only for problems without bias")
+    return (total_edge_weight - objective(p, s)) / 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ def estimate_brute_force_seconds(n: int) -> float:
 def brute_force_ground(
     p: IsingProblem, max_spins: int = MAX_BRUTE_FORCE_SPINS
 ) -> tuple[float, list[np.ndarray]]:
-    """Exact minimum of s^T J s over all 2^n configurations.
+    """Exact minimum of s^T J s + s^T b over all 2^n configurations.
 
     Returns the minimum energy and every minimiser, sorted
     lexicographically. Enumeration is split as s = (s_A, s_B) so the
@@ -38,8 +38,6 @@ def brute_force_ground(
     matrix product; far faster in numpy than per-config Gray-code
     updates at these sizes.
     """
-    if p.has_bias:
-        raise ValueError("problem has a nonzero bias; call absorb_bias first")
     n = p.n
     if n > max_spins:
         raise ValueError(
@@ -53,7 +51,7 @@ def brute_force_ground(
     J_bb = p.J[k:, k:]
 
     SB = _spin_block(0, 2**m, m)  # all right-half configs
-    eB = np.einsum("ij,jk,ik->i", SB, J_bb, SB)
+    eB = np.einsum("ij,jk,ik->i", SB, J_bb, SB) + SB @ p.b[k:]
     cross_T = J_ab @ SB.T  # (k, 2^m)
 
     best = np.inf
@@ -62,7 +60,7 @@ def brute_force_ground(
     for start in range(0, 2**k, block):
         count = min(block, 2**k - start)
         SA = _spin_block(start, count, k)
-        eA = np.einsum("ij,jk,ik->i", SA, J_aa, SA)
+        eA = np.einsum("ij,jk,ik->i", SA, J_aa, SA) + SA @ p.b[:k]
         E = eA[:, None] + eB[None, :] + 2.0 * (SA @ cross_T)
         blk_min = E.min()
         if blk_min < best:
@@ -79,14 +77,12 @@ def brute_force_ground(
 def single_flip_stable(p: IsingProblem, s, tol: float = 1e-9) -> bool:
     """True iff no single spin flip strictly decreases the energy.
 
-    Uses the local fields h = J s: flipping spin i changes the energy
-    by -4 s_i h_i, so stability is -4 s_i h_i >= 0 for every i (up to
-    tol, scaled by the coupling magnitude).
+    Uses the local fields h = J s + b/2: flipping spin i changes the
+    energy by -4 s_i h_i, so stability is -4 s_i h_i >= 0 for every i
+    (up to tol, scaled by the field magnitude).
     """
-    if p.has_bias:
-        raise ValueError("problem has a nonzero bias; call absorb_bias first")
     s = as_spins(s)
-    h = p.J @ s
+    h = p.J @ s + p.b / 2.0
     deltas = -4.0 * s * h
-    scale = max(1.0, float(np.abs(p.J).sum(axis=1).max()))
+    scale = max(1.0, float((np.abs(p.J).sum(axis=1) + np.abs(p.b) / 2.0).max()))
     return bool(np.all(deltas >= -tol * scale))

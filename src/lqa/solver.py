@@ -46,38 +46,25 @@ class SolverConfig:
     momentum: float = 0.99
     optimizer: str = "adam"
     init_scale: float = 0.1
-    seed: int = 0
+    seed: int | np.random.SeedSequence = 0
     trace_stride: int = 0
 
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be > 0")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be > 0")
+        # the chained comparisons are False for nan
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError("gamma must be > 0 and finite")
+        if not 0.0 < self.step_size < math.inf:
+            raise ValueError("step_size must be > 0 and finite")
+        if not math.isfinite(self.init_scale):
+            raise ValueError("init_scale must be finite")
         if not 0.0 <= self.momentum <= 1.0:
             raise ValueError("momentum must be in [0, 1]")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
         if self.trace_stride < 0:
             raise ValueError("trace_stride must be >= 0")
-
-
-@dataclass
-class SolverState:
-    """Mutable per-trial state: parameters plus optimizer buffers."""
-
-    w: np.ndarray
-    step_index: int = 0
-    velocity: np.ndarray = field(init=False)
-    m1: np.ndarray = field(init=False)
-    m2: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=np.float64).copy()
-        n = self.w.shape[0]
-        self.velocity, self.m1, self.m2 = np.zeros(n), np.zeros(n), np.zeros(n)
 
 
 def spin_readout(w: np.ndarray) -> np.ndarray:
@@ -117,38 +104,40 @@ def gradient(p: IsingProblem, w: np.ndarray, t: float, gamma: float) -> np.ndarr
     return HALF_PI * (t * gamma * 2.0 * (p.J @ z) * x + (1.0 - t) * z) * (1.0 - th * th)
 
 
-def update_vanilla(state: SolverState, grad: np.ndarray, eta: float) -> None:
-    """Plain gradient step w -= eta * grad."""
-    state.w -= eta * grad
+def update_vanilla(w: np.ndarray, grad: np.ndarray, eta: float) -> None:
+    """Plain gradient step w -= eta * grad, in place."""
+    w -= eta * grad
 
 
-def update_momentum(state: SolverState, grad: np.ndarray, eta: float, mu: float) -> None:
-    """Momentum step: v <- mu*v - eta*grad; w <- w + v."""
-    state.velocity *= mu
-    state.velocity -= eta * grad
-    state.w += state.velocity
+def update_momentum(
+    w: np.ndarray, v: np.ndarray, grad: np.ndarray, eta: float, mu: float
+) -> None:
+    """Momentum step, in place: v <- mu*v - eta*grad; w <- w + v."""
+    v *= mu
+    v -= eta * grad
+    w += v
 
 
 def update_adam(
-    state: SolverState,
+    w: np.ndarray,
+    m1: np.ndarray,
+    m2: np.ndarray,
     grad: np.ndarray,
     eta: float,
+    k: int,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """Adam step with bias correction; uses state.step_index as the
-    step counter k, which must be >= 1 at the time of the call."""
-    k = state.step_index
-    if k < 1:
-        raise ValueError("Adam requires step_index >= 1")
-    state.m1 *= beta1
-    state.m1 += (1.0 - beta1) * grad
-    state.m2 *= beta2
-    state.m2 += (1.0 - beta2) * grad * grad
-    m1_hat = state.m1 / (1.0 - beta1**k)
-    m2_hat = state.m2 / (1.0 - beta2**k)
-    state.w -= eta * m1_hat / (np.sqrt(m2_hat) + eps)
+    """Adam step k >= 1 with bias correction, updating w and the moments
+    m1, m2 in place."""
+    m1 *= beta1
+    m1 += (1.0 - beta1) * grad
+    m2 *= beta2
+    m2 += (1.0 - beta2) * grad * grad
+    m1_hat = m1 / (1.0 - beta1**k)
+    m2_hat = m2 / (1.0 - beta2**k)
+    w -= eta * m1_hat / (np.sqrt(m2_hat) + eps)
 
 
 @dataclass
@@ -190,39 +179,40 @@ def anneal(
     optimizer update. Deterministic given (p, cfg, w0); no randomness
     is consumed inside the loop.
     """
-    w0 = np.asarray(w0, dtype=np.float64)
-    if w0.shape != (p.n,):
-        raise ValueError(f"w0 has shape {w0.shape}, expected ({p.n},)")
-    if not np.all(np.isfinite(w0)):
+    w = np.array(w0, dtype=np.float64)  # a copy: the loop updates w in place
+    if w.shape != (p.n,):
+        raise ValueError(f"w0 has shape {w.shape}, expected ({p.n},)")
+    if not np.isfinite(w).all():
         raise ValueError("w0 must be finite")
-    state = SolverState(w=w0)
+    v, m1, m2 = np.zeros_like(w), np.zeros_like(w), np.zeros_like(w)
+    # Adam's step m1_hat / sqrt(m2_hat) is 0 where m2 overflowed and nan
+    # where the gradient did, so under Adam m2 is the array that turns
+    # non-finite; under the other rules a non-finite gradient reaches w
+    watched, what = (m2, "Adam second moment") if cfg.optimizer == "adam" else (w, "parameters")
     trace = TrialTrace() if cfg.trace_stride > 0 else None
     eta = cfg.step_size
-    # no numpy warning for inf / inf = nan: the check below reports any
-    # non-finite value as a SolverError naming the step
-    with np.errstate(invalid="ignore"):
+    # no numpy warning for an overflow or inf / inf = nan: the check below
+    # reports any non-finite value as a SolverError naming the step
+    with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, cfg.steps + 1):
             t = i / cfg.steps
-            g = gradient(p, state.w, t, cfg.gamma)
-            state.step_index = i
+            g = gradient(p, w, t, cfg.gamma)
             if cfg.optimizer == "vanilla":
-                update_vanilla(state, g, eta)
+                update_vanilla(w, g, eta)
             elif cfg.optimizer == "momentum":
-                update_momentum(state, g, eta, cfg.momentum)
+                update_momentum(w, v, g, eta, cfg.momentum)
             else:
-                update_adam(state, g, eta)
-            # a non-finite gradient always leaves w non-finite at the same
-            # step (Adam turns inf into inf / inf = nan), so one check covers both
-            if not np.isfinite(state.w).all():
-                raise SolverError(f"non-finite parameters at step {i}")
+                update_adam(w, m1, m2, g, eta, i)
+            if not np.isfinite(watched).all():
+                raise SolverError(f"non-finite {what} at step {i}")
             if trace is not None and (i % cfg.trace_stride == 0 or i == cfg.steps):
-                c = cost(p, state.w, t, cfg.gamma)
-                s = spin_readout(state.w)
+                c = cost(p, w, t, cfg.gamma)
+                s = spin_readout(w)
                 e = float(s @ (p.J @ s))
                 if not math.isfinite(c):
                     raise SolverError(f"non-finite cost at step {i}")
                 trace.append(i, t, c, e)
-    return spin_readout(state.w), trace
+    return spin_readout(w), trace
 
 
 @dataclass
@@ -239,7 +229,8 @@ class SolveResult:
 def solve(p: IsingProblem, cfg: SolverConfig, w0: np.ndarray | None = None) -> SolveResult:
     """Solve p end to end: absorb any bias, anneal, normalise the
     ancilla on readout, and report the objective of the original
-    problem."""
+    problem. w0, drawn from cfg.seed when not given, has a last entry
+    for the ancilla when p has biases."""
     from .ising import absorb_bias, normalize_ancilla, objective
 
     work = absorb_bias(p) if p.has_bias else p

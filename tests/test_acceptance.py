@@ -17,12 +17,12 @@ from lqa import (
     brute_force_ground,
     cost,
     cut_value,
-    energy,
     gen_random_pm1,
     gen_wishart,
     gradient,
     graph_total_weight,
     init_weights,
+    objective,
     run_batch,
     summarize,
 )
@@ -82,7 +82,7 @@ def test_criterion_2_exactness_small_instances():
         for restart in range(20):
             w0 = init_weights(20, 0.1, np.random.SeedSequence([2, inst_seed, restart]))
             s, _ = anneal(p, cfg, w0)
-            if abs(energy(p, s) - e0) <= tol:
+            if abs(objective(p, s) - e0) <= tol:
                 solved += 1
                 break
     assert solved >= 40, f"solved only {solved}/50 instances"

@@ -153,6 +153,13 @@ class TestRunBatch:
             best = np.minimum.accumulate(r.trace.energies)
             assert np.all(np.diff(best) <= 0)
 
+    def test_biased_maxcut_fails_before_trials(self):
+        # cut_value would also reject it, but only inside a trial and without the id
+        biased = IsingProblem(J=np.zeros((2, 2)), b=np.array([1.0, 0.0]))
+        spec = self._spec(instances=(InstanceSpec(id="cut", generator=None, maxcut=True),))
+        with pytest.raises(ValueError, match="instance 'cut': maxcut needs a problem without bias"):
+            run_batch(spec, problems={"cut": biased})
+
     def test_unknown_generator_fails_before_trials(self):
         spec = self._spec(instances=(InstanceSpec(id="x", generator="nope"),))
         with pytest.raises(ValueError, match="nope"):
@@ -221,11 +228,15 @@ class TestSpecFile:
             ({"momentum": 1.5}, r"momentum must be in \[0, 1\]"),
             ({"instances": [{"id": "a", "generator": "pm1", "n": 4, "step_size": 0}]},
              "instance 'a': step_size must be > 0"),
+            ({"seed": -1}, "seed must be >= 0"),
+            ({"workers": -3}, "workers must be >= 1"),
+            ({"workers": 0}, "workers must be >= 1"),
         ],
         ids=[
             "unknown-key", "unknown-instance-key", "missing-id", "instances-not-list",
             "string-for-int", "bool-for-int", "wishart-without-alpha", "duplicate-id",
             "bad-optimizer", "bad-momentum", "bad-instance-step-size",
+            "negative-seed", "negative-workers", "zero-workers",
         ],
     )
     def test_bad_spec_rejected(self, tmp_path, edit, message):

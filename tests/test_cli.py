@@ -74,7 +74,8 @@ class TestSolve:
             ("0 1 1.0\n0 2 inf\n", 1, ":2: non-finite coupling inf"),
             ("0 1 nan\n", 1, ":1: non-finite coupling nan"),
             (f"0 1 1.0\n0 {2**40} 1.0\n", 1, f":2: index {2**40} is at or above the cap"),
-            # finite couplings whose objective overflows for every assignment
+            # finite couplings whose objective overflows for every assignment;
+            # one vanilla step leaves w finite (see test_overflowed_objective_raises)
             ("0 1 1e308\n0 2 1e308\n1 2 1e308\n", 2, "non-finite objective -?inf"),
             ("# ground_energy: nan\n0 1 1.0\n", 1, ":1: bad ground_energy value"),
             ("0 1 1.0\n# ground_energy: -inf\n", 1, ":2: bad ground_energy value"),
@@ -83,7 +84,9 @@ class TestSolve:
     def test_bad_values_exit_code(self, capsys, tmp_path, text, code, message):
         f = tmp_path / "p.txt"
         f.write_text(text)
-        got, out, err = run_cli(capsys, "solve", str(f), "--steps", "50", "--seed", "1")
+        got, out, err = run_cli(
+            capsys, "solve", str(f), "--steps", "1", "--optimizer", "vanilla", "--seed", "1"
+        )
         assert got == code
         assert re.search(message, err)
         assert "energy" not in out
@@ -192,6 +195,15 @@ class TestBench:
 
         assert run(1, "serial") == run(2, "parallel")
 
+    def test_zero_workers_exits_one(self, capsys, tmp_path):
+        spec = self._spec_file(tmp_path)
+        code, _, err = run_cli(
+            capsys, "bench", spec, "--workers", "0", "--output-prefix", str(tmp_path / "run")
+        )
+        assert code == 1
+        assert "workers must be >= 1" in err
+        assert not (tmp_path / "run_trials.csv").exists()
+
 
 class TestOracle:
     def test_prints_ground_state(self, capsys, ferro_file):
@@ -199,6 +211,13 @@ class TestOracle:
         assert code == 0
         assert "ground_energy: -2.0" in out
         assert "+-" in out and "-+" in out
+
+    def test_biased_file_prints_its_own_spins(self, capsys, tmp_path):
+        f = tmp_path / "biased.txt"
+        f.write_text("0 1 1.0\n1 2 -0.5\nb 0 0.7\nb 2 -0.3\n")
+        code, out, _ = run_cli(capsys, "oracle", str(f))
+        assert code == 0
+        assert out.splitlines() == ["ground_energy: -4.0", "minimisers: 1", "-++"]
 
     def test_cap_requires_force(self, capsys, tmp_path):
         f = tmp_path / "big.txt"

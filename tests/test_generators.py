@@ -3,9 +3,9 @@ import pytest
 
 from lqa import (
     brute_force_ground,
-    energy,
     gen_random_pm1,
     gen_wishart,
+    objective,
     single_flip_stable,
 )
 
@@ -39,12 +39,12 @@ class TestRandomPm1:
 class TestWishart:
     def test_planted_energy_is_ground_energy(self):
         inst = gen_wishart(60, 0.8, 3)
-        e = energy(inst.problem, inst.planted)
+        e = objective(inst.problem, inst.planted)
         assert e == pytest.approx(inst.problem.ground_energy, rel=1e-9)
 
     def test_flip_symmetry(self):
         inst = gen_wishart(30, 0.5, 5)
-        assert energy(inst.problem, -inst.planted) == energy(inst.problem, inst.planted)
+        assert objective(inst.problem, -inst.planted) == objective(inst.problem, inst.planted)
 
     def test_planted_is_unique_minimum_pair(self):
         inst = gen_wishart(12, 1.0, 0)

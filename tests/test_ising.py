@@ -12,16 +12,13 @@ from lqa import (
     IsingProblem,
     ProblemFormatError,
     QuboProblem,
-    absorb_bias,
     cut_value,
-    energy,
     load_instance,
-    normalize_ancilla,
     objective,
     qubo_to_ising,
     save_instance,
 )
-from lqa.ising import MAX_SPINS, _load_bulk, _load_lines
+from lqa.ising import MAX_SPINS, _load_bulk, _load_lines, absorb_bias, normalize_ancilla
 from conftest import random_symmetric
 
 
@@ -130,7 +127,7 @@ class TestAbsorbBias:
         assert np.all(p2.J[:4, 4] == 0)
         for s in all_binary(4):
             spins = 2 * s - 1
-            assert energy(p2, np.append(spins, 1.0)) == pytest.approx(energy(p, spins))
+            assert objective(p2, np.append(spins, 1.0)) == pytest.approx(objective(p, spins))
 
     def test_small_biased_case(self):
         p = IsingProblem(J=np.array([[0.0, 1.0], [1.0, 0.0]]), b=np.array([2.0, 0.0]))
@@ -138,7 +135,7 @@ class TestAbsorbBias:
         assert not p2.has_bias
         for x in all_binary(2):
             s = 2 * x - 1
-            assert energy(p2, np.append(s, 1.0)) == pytest.approx(objective(p, s))
+            assert objective(p2, np.append(s, 1.0)) == pytest.approx(objective(p, s))
 
     def test_minimum_preserved_by_oracle(self, rng):
         from lqa import brute_force_ground
@@ -157,24 +154,21 @@ class TestAbsorbBias:
 class TestEnergy:
     def test_direct_values(self):
         p = IsingProblem(J=np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert energy(p, [1, 1]) == 2.0
-        assert energy(p, [1, -1]) == -2.0
+        assert objective(p, [1, 1]) == 2.0
+        assert objective(p, [1, -1]) == -2.0
 
     def test_global_flip_symmetry(self, rng):
         p = IsingProblem(J=random_symmetric(9, rng))
         for _ in range(20):
             s = rng.choice([-1.0, 1.0], 9)
-            assert energy(p, s) == energy(p, -s)
+            assert objective(p, s) == objective(p, -s)
 
-    def test_rejects_bias_and_bad_shapes(self):
-        p = IsingProblem(J=np.zeros((2, 2)), b=np.array([1.0, 0.0]))
-        with pytest.raises(ValueError, match="bias"):
-            energy(p, [1, 1])
+    def test_rejects_bad_shapes(self):
         p = IsingProblem(J=np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            energy(p, [1, 1, 1])
+            objective(p, [1, 1, 1])
         with pytest.raises(ValueError, match="exactly"):
-            energy(p, [1, 0.5])
+            objective(p, [1, 0.5])
 
 
 class TestCutValue:

@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from lqa import IsingProblem, brute_force_ground, energy, single_flip_stable
-from conftest import random_ising
+from lqa import IsingProblem, brute_force_ground, objective, single_flip_stable
+from conftest import random_ising, random_symmetric
 
 
 def naive_ground(p):
@@ -12,7 +12,7 @@ def naive_ground(p):
     minimisers = []
     for bits in itertools.product([-1.0, 1.0], repeat=p.n):
         s = np.array(bits)
-        e = energy(p, s)
+        e = objective(p, s)
         if e < best:
             best, minimisers = e, [s]
         elif e == best:
@@ -33,9 +33,15 @@ class TestBruteForce:
         assert e == -2.0
         assert [tuple(s) for s in mins] == [(-1.0, -1.0), (1.0, 1.0)]
 
-    @pytest.mark.parametrize("n", [1, 3, 6, 10])
-    def test_matches_naive_enumeration(self, n, rng):
-        p = random_ising(n, rng)
+    @pytest.mark.parametrize(
+        "n, biased",
+        [(1, False), (3, False), (6, False), (10, False),
+         (1, True), (3, True), (6, True), (10, True)],
+        ids=["1", "3", "6", "10", "1-biased", "3-biased", "6-biased", "10-biased"],
+    )
+    def test_matches_naive_enumeration(self, n, biased, rng):
+        b = rng.uniform(-1, 1, n) if biased else None
+        p = IsingProblem(J=random_symmetric(n, rng), b=b)
         e, mins = brute_force_ground(p)
         e_ref, mins_ref = naive_ground(p)
         assert e == e_ref
@@ -68,7 +74,7 @@ class TestBruteForce:
         e0, _ = brute_force_ground(p)
         cfg = SolverConfig(steps=100, gamma=1.0, step_size=0.1, optimizer="adam")
         s, _ = anneal(p, cfg, init_weights(12, 0.1, 1))
-        assert e0 <= energy(p, s) + 1e-12
+        assert e0 <= objective(p, s) + 1e-12
 
 
 class TestSingleFlipStable:
@@ -82,12 +88,13 @@ class TestSingleFlipStable:
         assert not single_flip_stable(p, [1.0, -1.0])
 
     def test_agrees_with_full_reevaluation(self, rng):
-        for _ in range(10):
-            p = random_ising(10, rng)
+        for k in range(20):
+            b = rng.uniform(-1, 1, 10) if k >= 10 else None
+            p = IsingProblem(J=random_symmetric(10, rng), b=b)
             s = rng.choice([-1.0, 1.0], 10)
-            e = energy(p, s)
+            e = objective(p, s)
             naive = all(
-                energy(p, np.where(np.arange(10) == i, -s, s)) >= e - 1e-9
+                objective(p, np.where(np.arange(10) == i, -s, s)) >= e - 1e-9
                 for i in range(10)
             )
             assert single_flip_stable(p, s) == naive
@@ -100,5 +107,5 @@ class TestSingleFlipStable:
         for i in range(11):
             flipped = s.copy()
             flipped[i] = -flipped[i]
-            delta = energy(p, flipped) - energy(p, s)
+            delta = objective(p, flipped) - objective(p, s)
             assert delta == pytest.approx(-4 * s[i] * h[i], abs=1e-9 * np.abs(p.J).sum())

@@ -7,13 +7,12 @@ from lqa import (
     IsingProblem,
     SolverConfig,
     SolverError,
-    SolverState,
     anneal,
     brute_force_ground,
     cost,
-    energy,
     gradient,
     init_weights,
+    objective,
     solve,
 )
 from lqa.solver import (
@@ -47,7 +46,7 @@ class TestCost:
     def test_saturated_limit_matches_energy(self, rng):
         p = random_ising(10, rng)
         w = 20.0 * rng.choice([-1.0, 1.0], 10)
-        e = energy(p, np.sign(w))
+        e = objective(p, np.sign(w))
         gamma = 0.7
         assert cost(p, w, 1.0, gamma) == pytest.approx(gamma * e, rel=1e-6)
 
@@ -85,76 +84,70 @@ class TestGradient:
 
 class TestUpdaters:
     def test_vanilla_zero_grad_noop(self):
-        st = SolverState(w=np.ones(3))
-        update_vanilla(st, np.zeros(3), 0.5)
-        assert np.array_equal(st.w, np.ones(3))
+        w = np.ones(3)
+        update_vanilla(w, np.zeros(3), 0.5)
+        assert np.array_equal(w, np.ones(3))
 
     def test_vanilla_step(self):
-        st = SolverState(w=np.zeros(3))
-        update_vanilla(st, np.ones(3), 0.5)
-        assert np.array_equal(st.w, -0.5 * np.ones(3))
+        w = np.zeros(3)
+        update_vanilla(w, np.ones(3), 0.5)
+        assert np.array_equal(w, -0.5 * np.ones(3))
 
     def test_vanilla_linearity(self, rng):
         g1, g2 = rng.normal(size=4), rng.normal(size=4)
-        a = SolverState(w=np.zeros(4))
+        a = np.zeros(4)
         update_vanilla(a, g1, 0.3)
         update_vanilla(a, g2, 0.3)
-        b = SolverState(w=np.zeros(4))
+        b = np.zeros(4)
         update_vanilla(b, g1 + g2, 0.3)
-        np.testing.assert_allclose(a.w, b.w, atol=1e-15)
+        np.testing.assert_allclose(a, b, atol=1e-15)
 
     def test_momentum_zero_mu_is_vanilla(self, rng):
         g = rng.normal(size=5)
-        a = SolverState(w=np.zeros(5))
-        update_momentum(a, g, 0.2, 0.0)
-        b = SolverState(w=np.zeros(5))
+        a = np.zeros(5)
+        update_momentum(a, np.zeros(5), g, 0.2, 0.0)
+        b = np.zeros(5)
         update_vanilla(b, g, 0.2)
-        np.testing.assert_allclose(a.w, b.w)
+        np.testing.assert_allclose(a, b)
 
     def test_momentum_first_step(self, rng):
         g = rng.normal(size=5)
-        st = SolverState(w=np.zeros(5))
-        update_momentum(st, g, 0.4, 0.99)
-        np.testing.assert_allclose(st.velocity, -0.4 * g)
-        np.testing.assert_allclose(st.w, -0.4 * g)
+        w, v = np.zeros(5), np.zeros(5)
+        update_momentum(w, v, g, 0.4, 0.99)
+        np.testing.assert_allclose(v, -0.4 * g)
+        np.testing.assert_allclose(w, -0.4 * g)
 
     def test_momentum_geometric_series(self):
         # constant gradient: v_k = -eta*g*(1 - mu^k)/(1 - mu)
         g = np.array([1.0])
         eta, mu, k = 0.1, 0.99, 40
-        st = SolverState(w=np.zeros(1))
+        w, v = np.zeros(1), np.zeros(1)
         for _ in range(k):
-            update_momentum(st, g, eta, mu)
+            update_momentum(w, v, g, eta, mu)
         expected = -eta * (1 - mu**k) / (1 - mu)
-        assert st.velocity[0] == pytest.approx(expected, rel=1e-12)
+        assert v[0] == pytest.approx(expected, rel=1e-12)
 
     def test_adam_zero_grad_noop(self):
-        st = SolverState(w=np.ones(3), step_index=1)
-        update_adam(st, np.zeros(3), 0.5)
-        assert np.array_equal(st.w, np.ones(3))
+        w = np.ones(3)
+        update_adam(w, np.zeros(3), np.zeros(3), np.zeros(3), 0.5, 1)
+        assert np.array_equal(w, np.ones(3))
 
     def test_adam_first_step_formula(self, rng):
         # at k=1 bias correction cancels: step is eta*g/(|g| + eps')
         g = rng.normal(size=6)
         eta, eps = 0.3, 1e-8
-        st = SolverState(w=np.zeros(6), step_index=1)
-        update_adam(st, g, eta, 0.9, 0.999, eps)
+        w = np.zeros(6)
+        update_adam(w, np.zeros(6), np.zeros(6), g, eta, 1, 0.9, 0.999, eps)
         expected = -eta * g / (np.abs(g) + eps)
-        np.testing.assert_allclose(st.w, expected, rtol=1e-10)
+        np.testing.assert_allclose(w, expected, rtol=1e-10)
 
     def test_adam_bounded_update(self, rng):
         eta = 0.25
-        st = SolverState(w=np.zeros(8))
+        w, m1, m2 = np.zeros(8), np.zeros(8), np.zeros(8)
         for k in range(1, 200):
-            st.step_index = k
-            before = st.w.copy()
-            update_adam(st, rng.normal(size=8, scale=10.0 ** rng.integers(-3, 4)), eta)
-            assert np.all(np.abs(st.w - before) <= eta * 1.2)
-
-    def test_adam_requires_step_counter(self):
-        st = SolverState(w=np.zeros(2), step_index=0)
-        with pytest.raises(ValueError):
-            update_adam(st, np.ones(2), 0.1)
+            before = w.copy()
+            update_adam(w, m1, m2, rng.normal(size=8, scale=10.0 ** rng.integers(-3, 4)), eta, k)
+            assert np.all(np.abs(w - before) <= eta * 1.2)
 
 
 class TestInitWeights:
@@ -177,7 +170,7 @@ class TestAnneal:
         p = IsingProblem(J=np.array([[0.0, 1.0], [1.0, 0.0]]))
         cfg = SolverConfig(steps=200, gamma=1.0, step_size=0.1, momentum=0.9, optimizer="momentum")
         s, _ = anneal(p, cfg, init_weights(2, 0.1, 0))
-        assert energy(p, s) == -2.0
+        assert objective(p, s) == -2.0
 
     def test_stays_at_saddle_without_momentum(self, rng):
         p = random_ising(20, rng)
@@ -203,11 +196,20 @@ class TestAnneal:
     @pytest.mark.filterwarnings("error")  # the SolverError is the only report
     @pytest.mark.parametrize("optimizer", ["vanilla", "momentum", "adam"])
     def test_nonfinite_abort_names_step(self, optimizer):
-        # IsingProblem rejects non-finite couplings, so the first update
-        # takes w to inf through an infinite step size instead
-        p = IsingProblem(J=np.array([[0.0, 1.0], [1.0, 0.0]]))
-        cfg = SolverConfig(steps=10, gamma=1.0, step_size=np.inf, optimizer=optimizer)
-        with pytest.raises(SolverError, match=r"step \d+"):
+        # three mutually coupled 1e308 spins: near saturation each row of
+        # J @ z sums two terms near 1e308 and overflows in the first gradient
+        J = np.full((3, 3), 1e308) - np.diag([1e308] * 3)
+        cfg = SolverConfig(steps=10, gamma=1.0, optimizer=optimizer)
+        with pytest.raises(SolverError, match=r"step 1$"):
+            anneal(IsingProblem(J=J), cfg, np.array([5.0, 5.0, 5.0]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_adam_second_moment_overflow_fails(self):
+        # the gradient stays finite but its square does not: Adam's step
+        # for that spin would be 0 from then on, freezing it
+        p = IsingProblem(J=np.array([[0.0, 1e200], [1e200, 0.0]]))
+        cfg = SolverConfig(steps=10, optimizer="adam")
+        with pytest.raises(SolverError, match=r"Adam second moment at step 1$"):
             anneal(p, cfg, np.array([0.1, 0.2]))
 
     def test_schedule_hits_endpoint(self, rng):
@@ -226,7 +228,7 @@ class TestAnneal:
         hits = 0
         for trial in range(50):
             s, _ = anneal(p, cfg, init_weights(20, 0.1, np.random.SeedSequence([4, trial])))
-            hits += energy(p, s) == pytest.approx(e0, abs=1e-9 * np.abs(p.J).sum())
+            hits += objective(p, s) == pytest.approx(e0, abs=1e-9 * np.abs(p.J).sum())
         assert hits > 25
 
 
@@ -246,13 +248,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["gamma", "step_size", "init_scale"])
+    def test_rejects_non_finite_setting(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            SolverConfig(**{name: value})
+
 
 class TestSolve:
     # three mutually coupled spins: for every spin assignment some row of
-    # J @ s sums two 1e308 terms, so the objective overflows
+    # J @ s sums two 1e308 terms, so the objective overflows. One vanilla
+    # step keeps w finite; a longer anneal overflows J @ z once the spins
+    # saturate, and Adam's squared gradient overflows at once.
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowed_objective_raises(self):
         J = np.full((3, 3), 1e308) - np.diag([1e308] * 3)
-        cfg = SolverConfig(steps=50, seed=1)
-        with pytest.raises(SolverError, match=r"non-finite objective .* last step \(50\)"):
+        cfg = SolverConfig(steps=1, optimizer="vanilla", seed=1)
+        with pytest.raises(SolverError, match=r"non-finite objective .* last step \(1\)"):
             solve(IsingProblem(J=J), cfg)
