@@ -14,38 +14,30 @@ from .ising import (
     ProblemFormatError,
     QuboProblem,
     cut_value,
-    graph_total_weight,
     load_instance,
     objective,
     qubo_to_ising,
     save_instance,
 )
 from .solver import (
-    SolveResult,
     SolverConfig,
     SolverError,
-    TrialTrace,
     anneal,
     cost,
     gradient,
-    init_weights,
     solve,
 )
-from .generators import PlantedInstance, gen_random_pm1, gen_wishart
-from .oracle import brute_force_ground, single_flip_stable
-from .bench import BenchSpec, TrialReport, load_bench_spec, run_batch, summarize
+from .generators import gen_random_pm1, gen_wishart
+from .oracle import brute_force_ground
+from .bench import BenchSpec, load_bench_spec, run_batch, summarize
 
 __all__ = [
     "BenchSpec",
     "IsingProblem",
-    "PlantedInstance",
     "ProblemFormatError",
     "QuboProblem",
-    "SolveResult",
     "SolverConfig",
     "SolverError",
-    "TrialReport",
-    "TrialTrace",
     "anneal",
     "brute_force_ground",
     "cost",
@@ -53,15 +45,12 @@ __all__ = [
     "gen_random_pm1",
     "gen_wishart",
     "gradient",
-    "graph_total_weight",
-    "init_weights",
     "load_bench_spec",
     "load_instance",
     "objective",
     "qubo_to_ising",
     "run_batch",
     "save_instance",
-    "single_flip_stable",
     "solve",
     "summarize",
 ]

@@ -18,7 +18,7 @@ import numpy as np
 from . import bench as bench_mod
 from .generators import gen_random_pm1, gen_wishart
 from .ising import ProblemFormatError, load_instance, save_instance
-from .oracle import MAX_BRUTE_FORCE_SPINS, brute_force_ground, estimate_brute_force_seconds
+from .oracle import brute_force_ground
 from .solver import OPTIMIZERS, SolverConfig, SolverError, solve
 
 EXIT_OK = 0
@@ -76,10 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="brute-force ground state of a small instance")
     p_oracle.add_argument("instance", help="path to a text-format instance file")
-    p_oracle.add_argument(
-        "--force", action="store_true",
-        help=f"allow more than {MAX_BRUTE_FORCE_SPINS} spins (prints a runtime estimate)",
-    )
     return parser
 
 
@@ -123,8 +119,6 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    if args.n < 2:
-        raise ProblemFormatError("--n must be >= 2")
     seed = _pick_seed(args.seed)
     if args.family == "pm1":
         problem = gen_random_pm1(args.n, seed)
@@ -160,15 +154,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_oracle(args) -> int:
     problem = load_instance(args.instance)
-    if problem.n > MAX_BRUTE_FORCE_SPINS:
-        if not args.force:
-            raise ProblemFormatError(
-                f"{problem.n} spins exceeds the cap of {MAX_BRUTE_FORCE_SPINS}; "
-                "pass --force to run anyway"
-            )
-        est = estimate_brute_force_seconds(problem.n)
-        print(f"estimated runtime: {est:.0f} s")
-    e, minimisers = brute_force_ground(problem, max_spins=problem.n)
+    e, minimisers = brute_force_ground(problem)
     print(f"ground_energy: {e!r}")
     print(f"minimisers: {len(minimisers)}")
     for s in minimisers:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ising import IsingProblem, as_spins
+from .ising import IsingProblem
 
 
 @dataclass(frozen=True)
@@ -21,11 +21,6 @@ class PlantedInstance:
 
     problem: IsingProblem
     planted: np.ndarray
-    alpha: float
-    seed: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "planted", as_spins(self.planted))
 
 
 def gen_random_pm1(n: int, seed) -> IsingProblem:
@@ -71,4 +66,4 @@ def gen_wishart(n: int, alpha: float, seed) -> PlantedInstance:
     np.fill_diagonal(J, 0.0)
     ground = float(t @ (J @ t))
     problem = IsingProblem(J=J, ground_energy=ground)
-    return PlantedInstance(problem=problem, planted=t, alpha=alpha, seed=int(seed))
+    return PlantedInstance(problem=problem, planted=t)

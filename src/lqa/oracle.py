@@ -20,13 +20,6 @@ def _spin_block(start: int, count: int, n: int) -> np.ndarray:
     return 2.0 * bits.astype(np.float64) - 1.0
 
 
-def estimate_brute_force_seconds(n: int) -> float:
-    """Rough runtime estimate for the exhaustive search, used by the
-    cap-override path to warn before committing."""
-    # ~1e8 config-energies per second for the blocked evaluation
-    return 2.0**n / 1e8 * max(n / 24.0, 1.0)
-
-
 def brute_force_ground(
     p: IsingProblem, max_spins: int = MAX_BRUTE_FORCE_SPINS
 ) -> tuple[float, list[np.ndarray]]:

@@ -25,6 +25,11 @@ HALF_PI = math.pi / 2.0
 
 OPTIMIZERS = ("vanilla", "momentum", "adam")
 
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class SolverError(RuntimeError):
     """Raised when the optimisation produces non-finite values."""
@@ -75,7 +80,7 @@ def spin_readout(w: np.ndarray) -> np.ndarray:
 def cost(p: IsingProblem, w: np.ndarray, t: float, gamma: float) -> float:
     """Annealed cost t*gamma*z^T J z - (1-t)*sum(x)."""
     if p.has_bias:
-        raise ValueError("problem has a nonzero bias; call absorb_bias first")
+        raise ValueError("problem has a nonzero bias; call solve instead")
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (p.n,):
         raise ValueError(f"w has shape {w.shape}, expected ({p.n},)")
@@ -93,7 +98,7 @@ def gradient(p: IsingProblem, w: np.ndarray, t: float, gamma: float) -> np.ndarr
     the runtime.
     """
     if p.has_bias:
-        raise ValueError("problem has a nonzero bias; call absorb_bias first")
+        raise ValueError("problem has a nonzero bias; call solve instead")
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (p.n,):
         raise ValueError(f"w has shape {w.shape}, expected ({p.n},)")
@@ -125,19 +130,17 @@ def update_adam(
     grad: np.ndarray,
     eta: float,
     k: int,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+) -> np.ndarray:
     """Adam step k >= 1 with bias correction, updating w and the moments
-    m1, m2 in place."""
-    m1 *= beta1
-    m1 += (1.0 - beta1) * grad
-    m2 *= beta2
-    m2 += (1.0 - beta2) * grad * grad
-    m1_hat = m1 / (1.0 - beta1**k)
-    m2_hat = m2 / (1.0 - beta2**k)
-    w -= eta * m1_hat / (np.sqrt(m2_hat) + eps)
+    m1, m2 in place. Returns the bias-corrected second moment m2_hat."""
+    m1 *= ADAM_BETA1
+    m1 += (1.0 - ADAM_BETA1) * grad
+    m2 *= ADAM_BETA2
+    m2 += (1.0 - ADAM_BETA2) * grad * grad
+    m1_hat = m1 / (1.0 - ADAM_BETA1**k)
+    m2_hat = m2 / (1.0 - ADAM_BETA2**k)
+    w -= eta * m1_hat / (np.sqrt(m2_hat) + ADAM_EPS)
+    return m2_hat
 
 
 @dataclass
@@ -185,10 +188,12 @@ def anneal(
     if not np.isfinite(w).all():
         raise ValueError("w0 must be finite")
     v, m1, m2 = np.zeros_like(w), np.zeros_like(w), np.zeros_like(w)
-    # Adam's step m1_hat / sqrt(m2_hat) is 0 where m2 overflowed and nan
-    # where the gradient did, so under Adam m2 is the array that turns
-    # non-finite; under the other rules a non-finite gradient reaches w
-    watched, what = (m2, "Adam second moment") if cfg.optimizer == "adam" else (w, "parameters")
+    # Adam's step m1_hat / sqrt(m2_hat) is 0 where m2_hat overflowed and
+    # nan where the gradient did, so under Adam m2_hat is the array that
+    # turns non-finite; m2_hat >= m2, so it overflows no later than m2.
+    # Under the other rules a non-finite gradient reaches w
+    watched = w
+    what = "Adam second moment" if cfg.optimizer == "adam" else "parameters"
     trace = TrialTrace() if cfg.trace_stride > 0 else None
     eta = cfg.step_size
     # no numpy warning for an overflow or inf / inf = nan: the check below
@@ -202,7 +207,7 @@ def anneal(
             elif cfg.optimizer == "momentum":
                 update_momentum(w, v, g, eta, cfg.momentum)
             else:
-                update_adam(w, m1, m2, g, eta, i)
+                watched = update_adam(w, m1, m2, g, eta, i)
             if not np.isfinite(watched).all():
                 raise SolverError(f"non-finite {what} at step {i}")
             if trace is not None and (i % cfg.trace_stride == 0 or i == cfg.steps):

@@ -20,13 +20,13 @@ from lqa import (
     gen_random_pm1,
     gen_wishart,
     gradient,
-    graph_total_weight,
-    init_weights,
     objective,
     run_batch,
     summarize,
 )
 from lqa.bench import BenchSpec, InstanceSpec
+from lqa.ising import graph_total_weight
+from lqa.solver import init_weights
 from lqa.cli import main as cli_main
 from conftest import random_ising
 

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from lqa import IsingProblem, TrialReport, load_bench_spec, run_batch, summarize
+from lqa import IsingProblem, load_bench_spec, run_batch, summarize
 from lqa.bench import (
     BenchSpec,
     InstanceSpec,
+    TrialReport,
     aggregate_traces,
     materialize,
     trial_seed,

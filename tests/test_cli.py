@@ -21,6 +21,14 @@ def ferro_file(tmp_path):
     return str(f)
 
 
+@pytest.fixture
+def biased_file(tmp_path):
+    # ground state -++ at energy -4.0 (see TestOracle)
+    f = tmp_path / "biased.txt"
+    f.write_text("0 1 1.0\n1 2 -0.5\nb 0 0.7\nb 2 -0.3\n")
+    return str(f)
+
+
 class TestSolve:
     def test_two_spin_instance(self, capsys, ferro_file):
         code, out, _ = run_cli(
@@ -30,6 +38,12 @@ class TestSolve:
         assert "energy: -2.0" in out
         assert "relative_error: 0.0" in out
         assert "spins: " in out
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_biased_instance(self, capsys, biased_file, seed):
+        code, out, _ = run_cli(capsys, "solve", biased_file, "--steps", "200", "--seed", str(seed))
+        assert code == 0
+        assert out.splitlines() == ["energy: -4.0", "spins: -++"]
 
     def test_missing_file_names_path(self, capsys):
         code, _, err = run_cli(capsys, "solve", "/no/such/file.txt")
@@ -212,20 +226,22 @@ class TestOracle:
         assert "ground_energy: -2.0" in out
         assert "+-" in out and "-+" in out
 
-    def test_biased_file_prints_its_own_spins(self, capsys, tmp_path):
-        f = tmp_path / "biased.txt"
-        f.write_text("0 1 1.0\n1 2 -0.5\nb 0 0.7\nb 2 -0.3\n")
-        code, out, _ = run_cli(capsys, "oracle", str(f))
+    def test_biased_file_prints_its_own_spins(self, capsys, biased_file):
+        code, out, _ = run_cli(capsys, "oracle", biased_file)
         assert code == 0
         assert out.splitlines() == ["ground_energy: -4.0", "minimisers: 1", "-++"]
 
-    def test_cap_requires_force(self, capsys, tmp_path):
+    def test_cap_has_no_override(self, capsys, tmp_path):
         f = tmp_path / "big.txt"
-        lines = [f"{i} {i+1} 1.0" for i in range(25)]
+        lines = [f"{i} {i+1} 1.0" for i in range(24)]  # 25 spins
         f.write_text("\n".join(lines) + "\n")
-        code, _, err = run_cli(capsys, "oracle", str(f))
+        code, out, err = run_cli(capsys, "oracle", str(f))
         assert code == 1
-        assert "--force" in err
+        assert "capped at 24 spins (got 25)" in err
+        assert out == ""
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", str(f), "--force"])
+        assert exc.value.code == 1
 
 
 class TestHelp:

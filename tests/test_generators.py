@@ -6,8 +6,12 @@ from lqa import (
     gen_random_pm1,
     gen_wishart,
     objective,
-    single_flip_stable,
 )
+from lqa.oracle import single_flip_stable
+
+# every seed form numpy's default_rng takes
+SEEDS = [4, np.random.SeedSequence(4), None]
+SEED_IDS = ["int", "seed-sequence", "none"]
 
 
 class TestRandomPm1:
@@ -27,8 +31,11 @@ class TestRandomPm1:
         # both signs occur in roughly equal measure
         assert 0.45 < np.mean(off == 1.0) < 0.55
 
-    def test_seed_determinism(self):
-        assert np.array_equal(gen_random_pm1(40, 7).J, gen_random_pm1(40, 7).J)
+    @pytest.mark.parametrize("seed", SEEDS, ids=SEED_IDS)
+    def test_seed_determinism(self, seed):
+        # a given seed repeats its draw; None draws fresh entropy each call
+        same = np.array_equal(gen_random_pm1(40, seed).J, gen_random_pm1(40, seed).J)
+        assert same == (seed is not None)
         assert not np.array_equal(gen_random_pm1(40, 7).J, gen_random_pm1(40, 8).J)
 
     def test_rejects_tiny_n(self):
@@ -63,11 +70,12 @@ class TestWishart:
         assert np.array_equal(p.J, p.J.T)
         assert np.all(np.diagonal(p.J) == 0.0)
 
-    def test_seed_determinism(self):
-        a = gen_wishart(25, 0.6, 4)
-        b = gen_wishart(25, 0.6, 4)
-        assert np.array_equal(a.problem.J, b.problem.J)
-        assert np.array_equal(a.planted, b.planted)
+    @pytest.mark.parametrize("seed", SEEDS, ids=SEED_IDS)
+    def test_seed_determinism(self, seed):
+        a = gen_wishart(25, 0.6, seed)
+        b = gen_wishart(25, 0.6, seed)
+        assert np.array_equal(a.problem.J, b.problem.J) == (seed is not None)
+        assert np.array_equal(a.planted, b.planted) == (seed is not None)
 
     def test_rejects_zero_columns(self):
         with pytest.raises(ValueError, match="columns"):

@@ -8,7 +8,8 @@ Floats are compared exactly, via their repr.
 import numpy as np
 import pytest
 
-from lqa import SolverConfig, anneal, init_weights
+from lqa import SolverConfig, anneal
+from lqa.solver import init_weights
 from conftest import random_ising
 
 # (n, optimizer) -> (spins, trace costs, trace energies)

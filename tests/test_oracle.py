@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from lqa import IsingProblem, brute_force_ground, objective, single_flip_stable
+from lqa import IsingProblem, brute_force_ground, objective
+from lqa.oracle import single_flip_stable
 from conftest import random_ising, random_symmetric
 
 
@@ -68,7 +69,8 @@ class TestBruteForce:
             brute_force_ground(p)
 
     def test_lower_bounds_any_solver_output(self, rng):
-        from lqa import SolverConfig, anneal, init_weights
+        from lqa import SolverConfig, anneal
+        from lqa.solver import init_weights
 
         p = random_ising(12, rng)
         e0, _ = brute_force_ground(p)

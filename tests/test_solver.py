@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,17 +12,17 @@ from lqa import (
     brute_force_ground,
     cost,
     gradient,
-    init_weights,
     objective,
     solve,
 )
 from lqa.solver import (
+    init_weights,
     spin_readout,
     update_adam,
     update_momentum,
     update_vanilla,
 )
-from conftest import random_ising
+from conftest import random_ising, random_symmetric
 
 
 def finite_difference_gradient(p, w, t, gamma, h=1e-5):
@@ -137,7 +138,7 @@ class TestUpdaters:
         g = rng.normal(size=6)
         eta, eps = 0.3, 1e-8
         w = np.zeros(6)
-        update_adam(w, np.zeros(6), np.zeros(6), g, eta, 1, 0.9, 0.999, eps)
+        update_adam(w, np.zeros(6), np.zeros(6), g, eta, 1)
         expected = -eta * g / (np.abs(g) + eps)
         np.testing.assert_allclose(w, expected, rtol=1e-10)
 
@@ -212,6 +213,15 @@ class TestAnneal:
         with pytest.raises(SolverError, match=r"Adam second moment at step 1$"):
             anneal(p, cfg, np.array([0.1, 0.2]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_adam_corrected_moment_overflow_fails(self):
+        # spin 0's first gradient is 2.0e154: m2 = 1e-3 * g^2 is finite but
+        # m2 / (1 - 0.999) overflows, which would freeze the spin silently
+        p = IsingProblem(J=np.array([[0.0, 2.14e156], [2.14e156, 0.0]]))
+        cfg = SolverConfig(steps=10, optimizer="adam")
+        with pytest.raises(SolverError, match=r"Adam second moment at step 1$"):
+            anneal(p, cfg, np.array([0.1, 0.2]))
+
     def test_schedule_hits_endpoint(self, rng):
         p = random_ising(5, rng)
         cfg = SolverConfig(steps=7, gamma=1.0, step_size=0.01, optimizer="vanilla", trace_stride=1)
@@ -266,3 +276,14 @@ class TestSolve:
         cfg = SolverConfig(steps=1, optimizer="vanilla", seed=1)
         with pytest.raises(SolverError, match=r"non-finite objective .* last step \(1\)"):
             solve(IsingProblem(J=J), cfg)
+
+    def test_biased_problems_reach_oracle_ground(self, rng):
+        cfg = SolverConfig(steps=500, gamma=1.0, step_size=0.02, momentum=0.99, optimizer="momentum")
+        for k in range(10):
+            p = IsingProblem(J=random_symmetric(12, rng), b=rng.uniform(-1.0, 1.0, 12))
+            e0, _ = brute_force_ground(p)
+            tol = 1e-9 * (np.abs(p.J).sum() + np.abs(p.b).sum())
+            seeds = (np.random.SeedSequence([6, k, r]) for r in range(20))
+            assert any(
+                solve(p, dataclasses.replace(cfg, seed=seed)).energy <= e0 + tol for seed in seeds
+            ), k
