@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .generators import gen_random_pm1, gen_wishart
-from .ising import IsingProblem, cut_value, graph_total_weight, load_instance
+from .ising import IsingProblem, graph_total_weight, load_instance
 from .solver import SolverConfig, SolverError, TrialTrace, solve
 
 SPEC_VERSION = 1
@@ -169,8 +169,11 @@ def trial_seed(base_seed: int, instance_index: int, trial_index: int) -> np.rand
     return np.random.SeedSequence([base_seed, instance_index, trial_index])
 
 
-def _run_trial(args) -> TrialReport:
-    spec, inst_idx, inst, problem, trial = args
+def _run_trial(spec: BenchSpec, problems, inst_idx: int, trial: int) -> TrialReport:
+    """Run one trial. ``problems`` holds, per spec instance, its problem
+    and, for a Max-Cut instance, its total edge weight (else None)."""
+    inst = spec.instances[inst_idx]
+    problem, total = problems[inst_idx]
     cfg = replace(spec.solver_config(inst), seed=trial_seed(spec.seed, inst_idx, trial))
     start = time.perf_counter()
     try:
@@ -179,9 +182,8 @@ def _run_trial(args) -> TrialReport:
         wall = (time.perf_counter() - start) * 1e3
         return TrialReport(inst.id, trial, spec.steps, None, None, None, wall, True)
     wall = (time.perf_counter() - start) * 1e3
-    cut = None
-    if inst.maxcut:
-        cut = cut_value(problem, result.spins, graph_total_weight(problem))
+    # result.energy is objective(problem, spins), so this is cut_value's cut
+    cut = None if total is None else (total - result.energy) / 2.0
     return TrialReport(
         instance=inst.id,
         trial=trial,
@@ -195,6 +197,18 @@ def _run_trial(args) -> TrialReport:
     )
 
 
+_worker_batch = None  # set in each pool worker: (spec, problems) of its batch
+
+
+def _init_worker(spec: BenchSpec, problems) -> None:
+    global _worker_batch
+    _worker_batch = (spec, problems)
+
+
+def _run_pooled_trial(job: tuple[int, int]) -> TrialReport:
+    return _run_trial(*_worker_batch, *job)
+
+
 def run_batch(spec: BenchSpec, problems: dict[str, IsingProblem] | None = None) -> list[TrialReport]:
     """Run every (instance, trial) pair and return reports in
     deterministic (instance, trial) order regardless of worker count.
@@ -202,24 +216,26 @@ def run_batch(spec: BenchSpec, problems: dict[str, IsingProblem] | None = None) 
     All instances are materialized up front so a bad reference, or a
     biased Max-Cut instance, fails before any trial runs. Failed trials
     (non-finite values) are recorded with failed=True and the batch
-    continues.
+    continues. Pool workers receive the problems once, when they start,
+    and each job names only an (instance, trial) pair.
     """
     if problems is None:
         problems = {inst.id: materialize(inst) for inst in spec.instances}
+    work = []  # (problem, total edge weight or None) per instance, in spec order
     for inst in spec.instances:
-        if inst.maxcut and problems[inst.id].has_bias:
+        p = problems[inst.id]
+        if inst.maxcut and p.has_bias:
             raise ValueError(f"instance {inst.id!r}: maxcut needs a problem without bias")
-    jobs = [
-        (spec, inst_idx, inst, problems[inst.id], trial)
-        for inst_idx, inst in enumerate(spec.instances)
-        for trial in range(spec.trials)
-    ]
-    if spec.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            reports = list(pool.map(_run_trial, jobs, chunksize=1))
-    else:
-        reports = [_run_trial(job) for job in jobs]
-    return reports  # job list is already in (instance, trial) order
+        work.append((p, graph_total_weight(p) if inst.maxcut else None))
+    jobs = [(inst_idx, trial) for inst_idx in range(len(work)) for trial in range(spec.trials)]
+    workers = min(spec.workers, len(jobs))
+    if workers == 1:
+        return [_run_trial(spec, work, *job) for job in jobs]
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=workers, initializer=_init_worker, initargs=(spec, work)
+    ) as pool:
+        # map yields in job order, which is (instance, trial) order
+        return list(pool.map(_run_pooled_trial, jobs))
 
 
 @dataclass

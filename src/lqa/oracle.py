@@ -33,10 +33,7 @@ def brute_force_ground(
     """
     n = p.n
     if n > max_spins:
-        raise ValueError(
-            f"brute force capped at {max_spins} spins (got {n}); "
-            "raise max_spins explicitly to override"
-        )
+        raise ValueError(f"brute force capped at {max_spins} spins (got {n})")
     k = n // 2
     m = n - k
     J_aa = p.J[:k, :k]

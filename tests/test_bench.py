@@ -1,4 +1,8 @@
+import concurrent.futures
+import dataclasses
+import functools
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -113,13 +117,68 @@ class TestRunBatch:
                 rb.relative_error,
             )
 
+    def _mixed_spec(self, workers):
+        # a planted instance (relative error) and a traced Max-Cut one (cut)
+        return self._spec(
+            instances=(
+                InstanceSpec(id="w", generator="wishart", n=8, alpha=1.0),
+                InstanceSpec(id="cut", generator="pm1", n=12, gen_seed=3, maxcut=True),
+            ),
+            trials=2,
+            trace_stride=10,
+            workers=workers,
+        )
+
+    @staticmethod
+    def _untimed(reports):
+        return [dataclasses.replace(r, wall_ms=0.0) for r in reports]
+
+    @staticmethod
+    def _count_problem_pickles(monkeypatch):
+        pickles = []
+        reduce_ex = IsingProblem.__reduce_ex__
+
+        def counting(self, protocol):
+            pickles.append(self.n)
+            return reduce_ex(self, protocol)
+
+        monkeypatch.setattr(IsingProblem, "__reduce_ex__", counting)
+        return pickles
+
     def test_worker_count_does_not_change_results(self):
-        spec = self._spec(trials=4)
-        serial = run_batch(spec)
-        parallel = run_batch(self._spec(trials=4, workers=3))
-        assert [(r.instance, r.trial, r.final_energy) for r in serial] == [
-            (r.instance, r.trial, r.final_energy) for r in parallel
-        ]
+        serial = run_batch(self._mixed_spec(workers=1))
+        assert all(r.cut is not None and r.trace for r in serial if r.instance == "cut")
+        assert all(r.relative_error is not None for r in serial if r.instance == "w")
+        for workers in (2, 5):  # 5 is more than the 4 jobs
+            assert self._untimed(run_batch(self._mixed_spec(workers))) == self._untimed(serial)
+
+    def test_spawned_workers_give_the_same_results(self, monkeypatch):
+        # spawn, unlike fork, pickles the problems into each worker it starts
+        serial = run_batch(self._mixed_spec(workers=1))
+        spawn = multiprocessing.get_context("spawn")
+        pool = functools.partial(concurrent.futures.ProcessPoolExecutor, mp_context=spawn)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+        pickles = self._count_problem_pickles(monkeypatch)
+        assert self._untimed(run_batch(self._mixed_spec(workers=2))) == self._untimed(serial)
+        assert 0 < len(pickles) <= 2 * 2  # two problems, at most once per worker
+
+    def test_problems_pickled_at_most_once_per_worker(self, monkeypatch):
+        pickles = self._count_problem_pickles(monkeypatch)
+        run_batch(self._spec(trials=6, workers=2))
+        assert len(pickles) <= 2
+
+    def test_pool_never_larger_than_the_job_count(self, monkeypatch):
+        sizes = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        run_batch(self._spec(trials=2, workers=8))
+        run_batch(self._spec(trials=1, workers=4))  # one job runs in this process
+        assert sizes == [2]
 
     def test_report_order_is_instance_then_trial(self):
         spec = self._spec(

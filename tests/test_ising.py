@@ -37,6 +37,18 @@ class TestProblemInvariants:
         with pytest.raises(ProblemFormatError, match="symmetric"):
             QuboProblem(Q=Q, a=np.zeros(2))
 
+    @pytest.mark.parametrize("i, j", [(10, 290), (290, 10), (0, 299), (257, 299)])
+    def test_rejects_one_asymmetric_entry_past_the_first_tile(self, rng, i, j):
+        # n = 300 spans two 256-wide tiles; (257, 299) lies in the last diagonal one
+        J = random_symmetric(300, rng)
+        J[i, j] += 1.0
+        with pytest.raises(ProblemFormatError, match="J must be symmetric"):
+            IsingProblem(J=J)
+
+    def test_accepts_symmetric_matrix_spanning_several_tiles(self, rng):
+        J = random_symmetric(600, rng)
+        assert np.array_equal(IsingProblem(J=J).J, J)
+
     def test_rejects_nonzero_diagonal(self):
         Q = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(ProblemFormatError, match="diagonal"):

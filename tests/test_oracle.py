@@ -65,7 +65,7 @@ class TestBruteForce:
 
     def test_cap_enforced(self):
         p = IsingProblem(J=np.zeros((25, 25)))
-        with pytest.raises(ValueError, match="capped"):
+        with pytest.raises(ValueError, match=r"^brute force capped at 24 spins \(got 25\)$"):
             brute_force_ground(p)
 
     def test_lower_bounds_any_solver_output(self, rng):
