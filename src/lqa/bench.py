@@ -10,6 +10,7 @@ statistics as CSV.
 from __future__ import annotations
 
 import concurrent.futures
+import copy
 import json
 import os
 import time
@@ -201,8 +202,13 @@ _worker_batch = None  # set in each pool worker: (spec, problems) of its batch
 
 
 def _init_worker(spec: BenchSpec, problems) -> None:
+    # Each worker anneals on its own copy of the couplings. Workers that
+    # read one fork-inherited J share its cache lines, which made trials
+    # faster by an amount that changed from run to run with the host's
+    # memory load (2-vCPU VM, n=2000: trial time spread 16% across runs,
+    # against 2-4% with private copies).
     global _worker_batch
-    _worker_batch = (spec, problems)
+    _worker_batch = (spec, copy.deepcopy(problems))
 
 
 def _run_pooled_trial(job: tuple[int, int]) -> TrialReport:
@@ -217,7 +223,7 @@ def run_batch(spec: BenchSpec, problems: dict[str, IsingProblem] | None = None) 
     biased Max-Cut instance, fails before any trial runs. Failed trials
     (non-finite values) are recorded with failed=True and the batch
     continues. Pool workers receive the problems once, when they start,
-    and each job names only an (instance, trial) pair.
+    and copy them; each job names only an (instance, trial) pair.
     """
     if problems is None:
         problems = {inst.id: materialize(inst) for inst in spec.instances}
