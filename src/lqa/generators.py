@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ising import IsingProblem
+from .ising import IsingProblem, _upper_tiles
 
 
 @dataclass(frozen=True)
@@ -27,16 +27,23 @@ def gen_random_pm1(n: int, seed) -> IsingProblem:
     """Fully connected symmetric couplings with J_ij = +-1 uniform.
 
     The n(n-1)/2 upper-triangle entries are drawn independently from a
-    seeded generator and mirrored.
+    seeded generator in row-major order and mirrored.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     rng = np.random.default_rng(seed)
+    vals = rng.choice([-1.0, 1.0], size=n * (n - 1) // 2)
     J = np.zeros((n, n))
-    iu = np.triu_indices(n, k=1)
-    vals = rng.choice([-1.0, 1.0], size=len(iu[0]))
-    J[iu] = vals
-    J.T[iu] = vals
+    start = 0
+    for i in range(n - 1):
+        stop = start + n - 1 - i
+        J[i, i + 1 :] = vals[start:stop]
+        start = stop
+    del vals
+    for rows, cols in _upper_tiles(n):
+        # the mirror tile is zero; on a diagonal tile this fills its lower half
+        J[cols, rows] += J[rows, cols].T
+    J.setflags(write=False)  # fresh, so IsingProblem adopts it
     return IsingProblem(J=J)
 
 
@@ -59,11 +66,19 @@ def gen_wishart(n: int, alpha: float, seed) -> PlantedInstance:
         raise ValueError(f"alpha * n rounds to {m} columns; need at least 1")
     rng = np.random.default_rng(seed)
     t = rng.choice([-1.0, 1.0], size=n)
-    G = rng.standard_normal((n, m))
-    W = G - np.outer(t, t @ G) / n  # columns orthogonal to t
-    J = (W @ W.T) / n
-    J = (J + J.T) / 2.0  # kill float asymmetry from the BLAS product
+    W = rng.standard_normal((n, m))
+    W -= np.outer(t, t @ W) / n  # columns orthogonal to t
+    J = W @ W.T
+    del W
+    J /= n
+    # J = (J + J.T) / 2 kills float asymmetry from the BLAS product; the
+    # sum is commutative, so one tile serves both triangles
+    for rows, cols in _upper_tiles(n):
+        tile = (J[rows, cols] + J[cols, rows].T) / 2.0
+        J[rows, cols] = tile
+        J[cols, rows] = tile.T
     np.fill_diagonal(J, 0.0)
+    J.setflags(write=False)  # fresh, so IsingProblem adopts it
     ground = float(t @ (J @ t))
     problem = IsingProblem(J=J, ground_energy=ground)
     return PlantedInstance(problem=problem, planted=t)

@@ -21,7 +21,21 @@ class ProblemFormatError(ValueError):
     """Raised for malformed problem data or instance files."""
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
+def _freeze(arr) -> np.ndarray:
+    """Return arr as a read-only float64 array.
+
+    A read-only float64 ndarray that owns its data is adopted as is: the
+    library's constructors hand over their fresh matrices this way, so a
+    large J is never held twice. Anything else (a writable array, a view,
+    another dtype, a nested list) is copied.
+    """
+    if (
+        type(arr) is np.ndarray
+        and arr.dtype == np.float64
+        and arr.flags.owndata
+        and not arr.flags.writeable
+    ):
+        return arr
     arr = np.array(arr, dtype=np.float64)
     arr.setflags(write=False)
     return arr
@@ -35,17 +49,21 @@ def _check_finite(arr: np.ndarray, name: str) -> None:
 _SYMMETRY_TILE = 256
 
 
+def _upper_tiles(n: int):
+    """Yield (rows, cols) slices of the upper-triangle tiles of an n x n
+    matrix, diagonal tiles included; ``[cols, rows]`` is the mirror tile.
+    Walking a whole ``A.T`` reads column-wise, which misses the cache at
+    large n; a tile and its mirror both fit in it."""
+    t = _SYMMETRY_TILE
+    for i in range(0, n, t):
+        for j in range(i, n, t):
+            yield slice(i, i + t), slice(j, j + t)
+
+
 def _is_symmetric(A: np.ndarray) -> bool:
     """Exactly ``np.array_equal(A, A.T)``, compared tile by tile: each
-    upper-triangle tile against the transpose of its mirror. A whole
-    ``A.T`` is read column-wise, which misses the cache at large n."""
-    t = _SYMMETRY_TILE
-    n = A.shape[0]
-    return all(
-        np.array_equal(A[i : i + t, j : j + t], A[j : j + t, i : i + t].T)
-        for i in range(0, n, t)
-        for j in range(i, n, t)
-    )
+    upper-triangle tile against the transpose of its mirror."""
+    return all(np.array_equal(A[r, c], A[c, r].T) for r, c in _upper_tiles(A.shape[0]))
 
 
 def _check_coupling(J: np.ndarray, name: str = "J") -> np.ndarray:
@@ -88,12 +106,27 @@ class IsingProblem:
     ``offset`` is the constant dropped when reducing from another form;
     ``ground_energy`` records the known optimum of s^T J s + s^T b for
     planted instances.
+
+    ``J`` and ``b`` are read-only float64 arrays. A read-only float64
+    array that owns its data is adopted without a copy (the generators,
+    the loaders, ``absorb_bias`` and ``qubo_to_ising`` hand theirs over
+    so); a writable array, a view, another dtype or a nested list is
+    copied, so later writes to the caller's array never reach the
+    problem. A pickled or deep-copied problem keeps its arrays read-only.
     """
 
     J: np.ndarray
     b: np.ndarray | None = None
     offset: float = 0.0
     ground_energy: float | None = None
+
+    def __setstate__(self, state: dict) -> None:
+        # pickle and deepcopy (the pool's path) rebuild each array writable
+        # and private to the new problem, so freeze it in place, not copy it
+        for name, value in state.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     def __post_init__(self):
         J = _freeze(self.J)
@@ -137,6 +170,7 @@ def qubo_to_ising(q: QuboProblem) -> IsingProblem:
     assignment.
     """
     J = q.Q / 4.0
+    J.setflags(write=False)  # fresh, so IsingProblem adopts it
     b = (q.a + q.Q @ np.ones(q.n)) / 2.0
     offset = float(q.Q.sum() / 4.0 + q.a.sum() / 2.0)
     return IsingProblem(J=J, b=b, offset=offset)
@@ -156,6 +190,7 @@ def absorb_bias(p: IsingProblem) -> IsingProblem:
     J2[:n, :n] = p.J
     J2[:n, n] = p.b / 2.0
     J2[n, :n] = p.b / 2.0
+    J2.setflags(write=False)  # fresh, so IsingProblem adopts it
     return IsingProblem(J=J2, offset=p.offset, ground_energy=p.ground_energy)
 
 
@@ -213,8 +248,8 @@ def cut_value(p: IsingProblem, s, total_edge_weight: float) -> float:
 
 MAX_SPINS = 1 << 14
 """Cap on the spin count of a loaded instance, checked before the dense
-J is allocated: J then takes at most 2 GiB, and loading briefly holds
-two copies of it."""
+J is allocated: J then takes at most 2 GiB, and loading holds one copy
+of it (the loader hands its matrix to IsingProblem without a copy)."""
 
 # One data row: `b` or the first index, the second index, the value.
 # A first field that fills all 8 bytes may have been truncated.
@@ -303,6 +338,7 @@ def _load_bulk(path) -> IsingProblem:
     J = np.zeros((n, n))
     J[ci, cj] = cval
     J[cj, ci] = cval
+    J.setflags(write=False)  # fresh, so IsingProblem adopts it
     b = np.zeros(n)
     b[bi] = bval
     return IsingProblem(J=J, b=b, ground_energy=ground_energy)
@@ -376,6 +412,7 @@ def _load_lines(path) -> IsingProblem:
     for (i, j), val in entries.items():
         J[i, j] = val
         J[j, i] = val
+    J.setflags(write=False)  # fresh, so IsingProblem adopts it
     b = np.zeros(n)
     for i, val in biases.items():
         b[i] = val

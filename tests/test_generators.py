@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,18 @@ class TestRandomPm1:
     def test_rejects_tiny_n(self):
         with pytest.raises(ValueError):
             gen_random_pm1(1, 0)
+
+    def test_peak_memory_bounded(self):
+        # the draw (half of J's bytes) and J itself; no index arrays or
+        # second copy of J
+        gen_random_pm1(3, 1)
+        tracemalloc.start()
+        try:
+            p = gen_random_pm1(1000, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * p.J.nbytes
 
 
 class TestWishart:

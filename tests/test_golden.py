@@ -1,14 +1,17 @@
-"""Golden outputs of the anneal loop.
+"""Golden outputs of the anneal loop and the instance generators.
 
 The expected spins and trace values below are a recorded reference run;
 a change to the loop or the optimizers must reproduce them bit for bit.
-Floats are compared exactly, via their repr.
+Floats are compared exactly, via their repr. Generated instances are
+compared by the sha256 of their bytes.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
 
-from lqa import SolverConfig, anneal
+from lqa import SolverConfig, anneal, gen_random_pm1, gen_wishart
 from lqa.solver import init_weights
 from conftest import random_ising
 
@@ -60,3 +63,46 @@ def test_anneal_matches_golden_output(n, optimizer):
     assert trace.steps == [15, 30, 45, 60]
     assert [repr(c) for c in trace.costs] == [repr(c) for c in costs]
     assert [repr(e) for e in trace.energies] == [repr(e) for e in energies]
+
+
+def _sha256(arr):
+    return hashlib.sha256(arr.tobytes()).hexdigest()
+
+
+# n -> sha256 of gen_random_pm1(n, 1).J; 255-257 straddle a 256-wide tile edge
+GOLDEN_PM1 = {
+    2: "24cc908a4ef61eb71d1f811b447b0defc382d05c4d7c327a0436b1f6faf9326b",
+    3: "d32078da87f45090f51152774d69886528e19102a9ab373e66a4e59fd3843685",
+    255: "a439413fe027bd59f3c3efd1d07253bce97f7cc5d03e9beb7e34c7443a6b1197",
+    256: "3af8be4eb2bf703c29a9fdd0ebbededbd91d1d1c38a36febecda73184ef1822d",
+    257: "cdf65b12c06a46beadc4be5f5e88dfa123221a1f388ed45e2a18cd758b5f6046",
+    2000: "d1e2ac7c0a6068dad9e243a8e569acc0172429e490841009045619ab36f839bb",
+}
+
+# (n, alpha) -> sha256 of J, sha256 of planted, ground_energy of gen_wishart(n, alpha, 2)
+GOLDEN_WISHART = {
+    (60, 0.8): (
+        "14e33d9bd82872a0beb5c9831c80c50b982481052e39703009eecc8ad734a581",
+        "615f2d760b6146251e5797b8ef56648964d36b5aee296f2e759a49dc422b9d90",
+        -46.99879227265736,
+    ),
+    (500, 0.7): (
+        "ad10761c380d8627ed63064bf347e1c16de82a61becc319ada016eac8996fdc3",
+        "0f6d6054d69757f8d9f2d21b6d163448123309222b042e649c5cc063d7bb0ea7",
+        -349.51858333328437,
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_PM1))
+def test_random_pm1_matches_golden_bytes(n):
+    assert _sha256(gen_random_pm1(n, 1).J) == GOLDEN_PM1[n]
+
+
+@pytest.mark.parametrize("n, alpha", sorted(GOLDEN_WISHART))
+def test_wishart_matches_golden_bytes(n, alpha):
+    J_hash, planted_hash, ground = GOLDEN_WISHART[(n, alpha)]
+    inst = gen_wishart(n, alpha, 2)
+    assert _sha256(inst.problem.J) == J_hash
+    assert _sha256(inst.planted) == planted_hash
+    assert repr(inst.problem.ground_energy) == repr(ground)

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import math
@@ -13,11 +14,14 @@ from lqa import (
     ProblemFormatError,
     QuboProblem,
     cut_value,
+    gen_random_pm1,
+    gen_wishart,
     load_instance,
     objective,
     qubo_to_ising,
     save_instance,
 )
+from lqa import ising
 from lqa.ising import MAX_SPINS, _load_bulk, _load_lines, absorb_bias, normalize_ancilla
 from conftest import random_symmetric
 
@@ -102,6 +106,98 @@ class TestProblemInvariants:
         p = IsingProblem(J=np.zeros((2, 2)))
         with pytest.raises(ValueError):
             p.J[0, 1] = 1.0
+
+
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+class TestOwnership:
+    """IsingProblem adopts a read-only float64 array that owns its data and
+    copies anything else; its arrays are read-only in every case."""
+
+    def test_writable_input_is_copied(self):
+        J = np.array([[0.0, 1.0], [1.0, 0.0]])
+        p = IsingProblem(J=J)
+        J[0, 1] = J[1, 0] = 5.0
+        assert p.J is not J
+        assert p.J[0, 1] == 1.0
+
+    def test_read_only_owning_float64_is_adopted(self):
+        J = _read_only(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert IsingProblem(J=J).J is J
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: _read_only(np.array([[0.0, 1.0, 9.0], [1.0, 0.0, 9.0]]))[:, :2],
+            lambda: _read_only(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.float32)),
+            lambda: [[0.0, 1.0], [1.0, 0.0]],
+        ],
+        ids=["read-only-view", "float32", "nested-list"],
+    )
+    def test_other_inputs_are_copied(self, make):
+        J = make()
+        p = IsingProblem(J=J)
+        assert p.J is not J
+        assert p.J.dtype == np.float64 and p.J.flags.owndata
+        assert np.array_equal(p.J, [[0.0, 1.0], [1.0, 0.0]])
+
+    @pytest.mark.parametrize(
+        "derive",
+        [
+            lambda p: p,
+            lambda p: dataclasses.replace(p, offset=1.0),
+            lambda p: pickle.loads(pickle.dumps(p)),
+            lambda p: copy.deepcopy(p),
+        ],
+        ids=["built", "replace", "pickle", "deepcopy"],
+    )
+    @pytest.mark.parametrize(
+        "J",
+        [
+            [[0.0, 1.0], [1.0, 0.0]],
+            _read_only(np.array([[0.0, 1.0], [1.0, 0.0]])),
+            np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.float32),
+        ],
+        ids=["list", "adopted", "float32"],
+    )
+    def test_arrays_read_only_in_every_case(self, J, derive):
+        p = derive(IsingProblem(J=J, b=[0.5, 0.0]))
+        assert not p.J.flags.writeable
+        assert not p.b.flags.writeable
+        assert p.has_bias
+        with pytest.raises(ValueError):
+            p.J[0, 1] = 2.0
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda path: gen_random_pm1(5, 1),
+            lambda path: gen_wishart(6, 1.0, 0).problem,
+            lambda path: absorb_bias(IsingProblem(J=np.zeros((3, 3)), b=[1.0, 0.0, 0.0])),
+            lambda path: qubo_to_ising(QuboProblem(Q=np.ones((3, 3)) - np.eye(3), a=np.zeros(3))),
+            lambda path: _load_bulk(path),
+            lambda path: _load_lines(path),
+        ],
+        ids=["gen_random_pm1", "gen_wishart", "absorb_bias", "qubo_to_ising", "bulk", "lines"],
+    )
+    def test_library_constructors_hand_over_j_without_copy(self, build, tmp_path, monkeypatch):
+        path = tmp_path / "p.txt"
+        path.write_text("0 1 0.5\n1 2 -1.0\nb 0 0.25\n")
+        frozen = []
+        real_freeze = ising._freeze
+
+        def spy(arr):
+            out = real_freeze(arr)
+            frozen.append((out.ndim, out is arr))
+            return out
+
+        monkeypatch.setattr(ising, "_freeze", spy)
+        build(path)
+        # the last matrix frozen is the returned problem's J
+        assert [adopted for ndim, adopted in frozen if ndim == 2][-1]
 
 
 class TestQuboToIsing:
