@@ -12,7 +12,6 @@ from __future__ import annotations
 import concurrent.futures
 import copy
 import json
-import os
 import time
 import typing
 from dataclasses import dataclass, fields, replace
@@ -20,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .generators import gen_random_pm1, gen_wishart
-from .ising import IsingProblem, graph_total_weight, load_instance
+from .ising import IsingProblem, atomic_write, graph_total_weight, load_instance
 from .solver import SolverConfig, SolverError, TrialTrace, solve
 
 SPEC_VERSION = 1
@@ -320,13 +319,6 @@ def aggregate_traces(traces: list[TrialTrace]) -> list[tuple[int, float, float, 
     ]
 
 
-def _atomic_write(path, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _fmt(v) -> str:
     return "" if v is None else repr(v)
 
@@ -339,7 +331,7 @@ def write_reports_csv(reports: list[TrialReport], path) -> None:
             f"{r.instance},{r.trial},{r.steps},{_fmt(r.final_energy)},"
             f"{_fmt(r.relative_error)},{_fmt(r.cut)},{r.wall_ms:.3f},{int(r.failed)}"
         )
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_summary_csv(summaries: list[InstanceSummary], path) -> None:
@@ -349,11 +341,11 @@ def write_summary_csv(summaries: list[InstanceSummary], path) -> None:
             f"{s.instance},{s.trials},{s.failures},{s.metric},"
             f"{s.mean!r},{s.std!r},{s.min!r},{s.max!r}"
         )
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_trace_csv(rows: list[tuple[int, float, float, float]], path) -> None:
     lines = ["step,best_energy_mean,best_energy_min,best_energy_max"]
     for step, mean, lo, hi in rows:
         lines.append(f"{step},{mean!r},{lo!r},{hi!r}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import secrets
 import sys
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from .generators import gen_random_pm1, gen_wishart
-from .ising import ProblemFormatError, load_instance, save_instance
+from .ising import ProblemFormatError, atomic_write, load_instance, save_instance
 from .oracle import brute_force_ground
 from .solver import OPTIMIZERS, SolverConfig, SolverError, solve
 
@@ -71,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--output-prefix", default="bench", help="prefix for the emitted CSVs (default 'bench')"
     )
     p_bench.add_argument(
-        "--workers", type=int, default=None, help="trial parallelism (overrides spec and env)"
+        "--workers", type=int, default=None, help="trial parallelism (overrides the spec's workers)"
     )
 
     p_oracle = sub.add_parser("oracle", help="brute-force ground state of a small instance")
@@ -111,8 +110,7 @@ def _cmd_solve(args) -> int:
     text = "\n".join(lines)
     print(text)
     if args.output:
-        with open(args.output, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text + "\n")
+        atomic_write(args.output, text + "\n")
     if args.trace and result.trace is not None:
         result.trace.write_csv(args.trace)
     return EXIT_OK
@@ -134,10 +132,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_bench(args) -> int:
     spec = bench_mod.load_bench_spec(args.spec)
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get("LQA_WORKERS", spec.workers))
-    spec = dataclasses.replace(spec, workers=workers)
+    if args.workers is not None:
+        spec = dataclasses.replace(spec, workers=args.workers)
     reports = bench_mod.run_batch(spec)
     bench_mod.write_reports_csv(reports, f"{args.output_prefix}_trials.csv")
     bench_mod.write_summary_csv(bench_mod.summarize(reports), f"{args.output_prefix}_summary.csv")

@@ -11,6 +11,7 @@ quadratic form). The QUBO objective is ``x^T Q x + x^T a`` over
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -39,6 +40,15 @@ def _freeze(arr) -> np.ndarray:
     arr = np.array(arr, dtype=np.float64)
     arr.setflags(write=False)
     return arr
+
+
+def _frozen_setstate(self, state: dict) -> None:
+    # pickle and deepcopy (the pool's path) rebuild each array writable
+    # and private to the new problem, so freeze it in place, not copy it
+    for name, value in state.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(self, name, value)
 
 
 def _check_finite(arr: np.ndarray, name: str) -> None:
@@ -84,6 +94,8 @@ class QuboProblem:
     Q: np.ndarray
     a: np.ndarray
 
+    __setstate__ = _frozen_setstate
+
     def __post_init__(self):
         Q = _freeze(self.Q)
         a = _freeze(self.a)
@@ -120,13 +132,7 @@ class IsingProblem:
     offset: float = 0.0
     ground_energy: float | None = None
 
-    def __setstate__(self, state: dict) -> None:
-        # pickle and deepcopy (the pool's path) rebuild each array writable
-        # and private to the new problem, so freeze it in place, not copy it
-        for name, value in state.items():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-            object.__setattr__(self, name, value)
+    __setstate__ = _frozen_setstate
 
     def __post_init__(self):
         J = _freeze(self.J)
@@ -426,6 +432,20 @@ def _check_index(path, lineno: int, i: int) -> None:
         )
 
 
+def atomic_write(path, text: str) -> None:
+    """Write ASCII text to ``<path>.tmp`` and rename it over path; a write
+    that raises removes the temporary file and leaves path as it was."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_instance(p: IsingProblem, path, header_comments=()) -> None:
     """Write an Ising problem in the text coupling format.
 
@@ -444,5 +464,4 @@ def save_instance(p: IsingProblem, path, header_comments=()) -> None:
     for i in range(p.n):
         if p.b[i] != 0.0:
             lines.append(f"b {i} {float(p.b[i])!r}")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")

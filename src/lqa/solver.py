@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ising import IsingProblem
+from .ising import IsingProblem, absorb_bias, atomic_write, normalize_ancilla, objective
 
 HALF_PI = math.pi / 2.0
 
@@ -77,16 +77,22 @@ def spin_readout(w: np.ndarray) -> np.ndarray:
     return np.where(np.asarray(w) >= 0.0, 1.0, -1.0)
 
 
-def cost(p: IsingProblem, w: np.ndarray, t: float, gamma: float) -> float:
-    """Annealed cost t*gamma*z^T J z - (1-t)*sum(x)."""
+def _angles(p: IsingProblem, w, name: str = "w"):
+    """Check that p has no bias and w (called ``name`` in the error) has
+    shape (n,); return (tanh w, z, x) for theta = (pi/2) tanh w."""
     if p.has_bias:
         raise ValueError("problem has a nonzero bias; call solve instead")
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (p.n,):
-        raise ValueError(f"w has shape {w.shape}, expected ({p.n},)")
-    theta = HALF_PI * np.tanh(w)
-    z = np.sin(theta)
-    x = np.cos(theta)
+        raise ValueError(f"{name} has shape {w.shape}, expected ({p.n},)")
+    th = np.tanh(w)
+    theta = HALF_PI * th
+    return th, np.sin(theta), np.cos(theta)
+
+
+def cost(p: IsingProblem, w: np.ndarray, t: float, gamma: float) -> float:
+    """Annealed cost t*gamma*z^T J z - (1-t)*sum(x)."""
+    _, z, x = _angles(p, w)
     return float(t * gamma * (z @ (p.J @ z)) - (1.0 - t) * x.sum())
 
 
@@ -97,27 +103,15 @@ def gradient(p: IsingProblem, w: np.ndarray, t: float, gamma: float) -> np.ndarr
     where . is elementwise multiplication. The J z product dominates
     the runtime.
     """
-    if p.has_bias:
-        raise ValueError("problem has a nonzero bias; call solve instead")
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (p.n,):
-        raise ValueError(f"w has shape {w.shape}, expected ({p.n},)")
-    th = np.tanh(w)
-    theta = HALF_PI * th
-    z = np.sin(theta)
-    x = np.cos(theta)
+    th, z, x = _angles(p, w)
     return HALF_PI * (t * gamma * 2.0 * (p.J @ z) * x + (1.0 - t) * z) * (1.0 - th * th)
-
-
-def update_vanilla(w: np.ndarray, grad: np.ndarray, eta: float) -> None:
-    """Plain gradient step w -= eta * grad, in place."""
-    w -= eta * grad
 
 
 def update_momentum(
     w: np.ndarray, v: np.ndarray, grad: np.ndarray, eta: float, mu: float
 ) -> None:
-    """Momentum step, in place: v <- mu*v - eta*grad; w <- w + v."""
+    """Momentum step, in place: v <- mu*v - eta*grad; w <- w + v.
+    At mu = 0 this is plain gradient descent, the "vanilla" optimizer."""
     v *= mu
     v -= eta * grad
     w += v
@@ -159,10 +153,8 @@ class TrialTrace:
         self.energies.append(e)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("step,t,cost,energy\n")
-            for row in zip(self.steps, self.ts, self.costs, self.energies):
-                fh.write("%d,%r,%r,%r\n" % row)
+        rows = zip(self.steps, self.ts, self.costs, self.energies)
+        atomic_write(path, "step,t,cost,energy\n" + "".join("%d,%r,%r,%r\n" % r for r in rows))
 
 
 def init_weights(n: int, init_scale: float, seed) -> np.ndarray:
@@ -183,8 +175,7 @@ def anneal(
     is consumed inside the loop.
     """
     w = np.array(w0, dtype=np.float64)  # a copy: the loop updates w in place
-    if w.shape != (p.n,):
-        raise ValueError(f"w0 has shape {w.shape}, expected ({p.n},)")
+    _angles(p, w, "w0")  # checks p and w0; the loop does not need these angles
     if not np.isfinite(w).all():
         raise ValueError("w0 must be finite")
     v, m1, m2 = np.zeros_like(w), np.zeros_like(w), np.zeros_like(w)
@@ -196,18 +187,17 @@ def anneal(
     what = "Adam second moment" if cfg.optimizer == "adam" else "parameters"
     trace = TrialTrace() if cfg.trace_stride > 0 else None
     eta = cfg.step_size
+    mu = 0.0 if cfg.optimizer == "vanilla" else cfg.momentum
     # no numpy warning for an overflow or inf / inf = nan: the check below
     # reports any non-finite value as a SolverError naming the step
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, cfg.steps + 1):
             t = i / cfg.steps
             g = gradient(p, w, t, cfg.gamma)
-            if cfg.optimizer == "vanilla":
-                update_vanilla(w, g, eta)
-            elif cfg.optimizer == "momentum":
-                update_momentum(w, v, g, eta, cfg.momentum)
-            else:
+            if cfg.optimizer == "adam":
                 watched = update_adam(w, m1, m2, g, eta, i)
+            else:
+                update_momentum(w, v, g, eta, mu)
             if not np.isfinite(watched).all():
                 raise SolverError(f"non-finite {what} at step {i}")
             if trace is not None and (i % cfg.trace_stride == 0 or i == cfg.steps):
@@ -236,8 +226,6 @@ def solve(p: IsingProblem, cfg: SolverConfig, w0: np.ndarray | None = None) -> S
     ancilla on readout, and report the objective of the original
     problem. w0, drawn from cfg.seed when not given, has a last entry
     for the ancilla when p has biases."""
-    from .ising import absorb_bias, normalize_ancilla, objective
-
     work = absorb_bias(p) if p.has_bias else p
     if w0 is None:
         w0 = init_weights(work.n, cfg.init_scale, cfg.seed)

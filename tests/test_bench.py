@@ -329,6 +329,15 @@ class TestCsvOutput:
         assert lines[0] == "instance,trials,failures,metric,mean,std,min,max"
         assert lines[1] == "a,1,0,relative_error,0.5,0.0,0.5,0.5"
 
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_reports_csv([make_report()], path)
+        before = path.read_text()
+        with pytest.raises(UnicodeEncodeError):
+            write_reports_csv([make_report(instance="\u00e9")], path)
+        assert path.read_text() == before
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_no_partial_file_left_behind(self, tmp_path):
         path = tmp_path / "out.csv"
         write_reports_csv([make_report()], path)

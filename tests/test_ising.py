@@ -172,6 +172,18 @@ class TestOwnership:
             p.J[0, 1] = 2.0
 
     @pytest.mark.parametrize(
+        "derive",
+        [lambda q: pickle.loads(pickle.dumps(q)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_qubo_arrays_read_only_after_copy(self, derive):
+        q = derive(QuboProblem(Q=np.array([[0.0, 1.0], [1.0, 0.0]]), a=np.zeros(2)))
+        assert not q.Q.flags.writeable
+        assert not q.a.flags.writeable
+        with pytest.raises(ValueError):
+            q.a[0] = 2.0
+
+    @pytest.mark.parametrize(
         "build",
         [
             lambda path: gen_random_pm1(5, 1),
@@ -198,6 +210,28 @@ class TestOwnership:
         build(path)
         # the last matrix frozen is the returned problem's J
         assert [adopted for ndim, adopted in frozen if ndim == 2][-1]
+
+
+class TestAtomicWrite:
+    """A write that raises leaves the previous file and no temporary file."""
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        ising.atomic_write(path, "old\n")
+        with pytest.raises(UnicodeEncodeError):
+            ising.atomic_write(path, "new \u00e9\n")
+        assert path.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_save_instance_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "p.txt"
+        p = IsingProblem(J=np.array([[0.0, 0.5], [0.5, 0.0]]))
+        save_instance(p, path)
+        before = path.read_text()
+        with pytest.raises(UnicodeEncodeError):
+            save_instance(p, path, header_comments=["n\u00e9"])
+        assert path.read_text() == before
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestQuboToIsing:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,11 +17,11 @@ from lqa import (
     solve,
 )
 from lqa.solver import (
+    TrialTrace,
     init_weights,
     spin_readout,
     update_adam,
     update_momentum,
-    update_vanilla,
 )
 from conftest import random_ising, random_symmetric
 
@@ -84,32 +85,33 @@ class TestGradient:
 
 
 class TestUpdaters:
+    # plain descent is momentum at mu = 0: w <- w - eta * grad, exactly
     def test_vanilla_zero_grad_noop(self):
         w = np.ones(3)
-        update_vanilla(w, np.zeros(3), 0.5)
-        assert np.array_equal(w, np.ones(3))
+        update_momentum(w, np.zeros(3), np.zeros(3), 0.5, 0.0)
+        np.testing.assert_array_equal(w, np.ones(3))
 
     def test_vanilla_step(self):
         w = np.zeros(3)
-        update_vanilla(w, np.ones(3), 0.5)
-        assert np.array_equal(w, -0.5 * np.ones(3))
+        update_momentum(w, np.zeros(3), np.ones(3), 0.5, 0.0)
+        np.testing.assert_array_equal(w, -0.5 * np.ones(3))
 
     def test_vanilla_linearity(self, rng):
-        g1, g2 = rng.normal(size=4), rng.normal(size=4)
-        a = np.zeros(4)
-        update_vanilla(a, g1, 0.3)
-        update_vanilla(a, g2, 0.3)
+        # dyadic gradients and step size keep every sum exact
+        g1, g2 = rng.integers(-8, 9, size=4) / 4.0, rng.integers(-8, 9, size=4) / 4.0
+        a, v = np.zeros(4), np.zeros(4)
+        update_momentum(a, v, g1, 0.5, 0.0)
+        update_momentum(a, v, g2, 0.5, 0.0)
         b = np.zeros(4)
-        update_vanilla(b, g1 + g2, 0.3)
-        np.testing.assert_allclose(a, b, atol=1e-15)
+        update_momentum(b, np.zeros(4), g1 + g2, 0.5, 0.0)
+        np.testing.assert_array_equal(a, b)
 
     def test_momentum_zero_mu_is_vanilla(self, rng):
-        g = rng.normal(size=5)
-        a = np.zeros(5)
-        update_momentum(a, np.zeros(5), g, 0.2, 0.0)
-        b = np.zeros(5)
-        update_vanilla(b, g, 0.2)
-        np.testing.assert_allclose(a, b)
+        # at mu = 0 the previous velocity is dropped
+        g, w0 = rng.normal(size=5), rng.normal(size=5)
+        w = w0.copy()
+        update_momentum(w, rng.normal(size=5), g, 0.2, 0.0)
+        np.testing.assert_array_equal(w, w0 - 0.2 * g)
 
     def test_momentum_first_step(self, rng):
         g = rng.normal(size=5)
@@ -149,6 +151,19 @@ class TestUpdaters:
             before = w.copy()
             update_adam(w, m1, m2, rng.normal(size=8, scale=10.0 ** rng.integers(-3, 4)), eta, k)
             assert np.all(np.abs(w - before) <= eta * 1.2)
+
+
+class TestTrialTrace:
+    def test_failed_write_csv_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        TrialTrace([1, 2], [0.5, 1.0], [-1.0, -2.0], [-3.0, -4.0]).write_csv(path)
+        before = path.read_text()
+        assert before.count("\n") == 3
+        # the second row's step is not an integer, so formatting it raises
+        with pytest.raises(TypeError):
+            TrialTrace([1, None], [0.5, 1.0], [-1.0, -2.0], [-3.0, -4.0]).write_csv(path)
+        assert path.read_text() == before
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestInitWeights:
@@ -240,6 +255,80 @@ class TestAnneal:
             s, _ = anneal(p, cfg, init_weights(20, 0.1, np.random.SeedSequence([4, trial])))
             hits += objective(p, s) == pytest.approx(e0, abs=1e-9 * np.abs(p.J).sum())
         assert hits > 25
+
+
+def vanilla_reference(p, cfg, w0):
+    """Plain gradient descent w -= eta * grad with the anneal's schedule
+    and trace points; returns (spins, trace costs, trace energies)."""
+    w = np.array(w0, dtype=np.float64)
+    costs, energies = [], []
+    for i in range(1, cfg.steps + 1):
+        t = i / cfg.steps
+        w -= cfg.step_size * gradient(p, w, t, cfg.gamma)
+        if i % cfg.trace_stride == 0 or i == cfg.steps:
+            s = spin_readout(w)
+            costs.append(cost(p, w, t, cfg.gamma))
+            energies.append(float(s @ (p.J @ s)))
+    return spin_readout(w), costs, energies
+
+
+class TestVanillaReference:
+    @pytest.mark.parametrize("n", [2, 7, 20])
+    @pytest.mark.parametrize("init", ["uniform", "+0.0", "-0.0"])
+    def test_anneal_matches_plain_descent_bit_for_bit(self, n, init, rng):
+        p = random_ising(n, rng)
+        w0 = {
+            "uniform": lambda: init_weights(n, 0.1, 3),
+            "+0.0": lambda: np.zeros(n),
+            # 0.0 * a negative uniform draw is -0.0
+            "-0.0": lambda: init_weights(n, 0.0, 3),
+        }[init]()
+        if init == "-0.0":
+            assert np.signbit(w0).any()
+        cfg = SolverConfig(steps=60, gamma=1.0, step_size=0.05, optimizer="vanilla", trace_stride=7)
+        s, trace = anneal(p, cfg, w0)
+        s_ref, costs, energies = vanilla_reference(p, cfg, w0)
+        np.testing.assert_array_equal(s, s_ref)
+        assert [repr(c) for c in trace.costs] == [repr(c) for c in costs]
+        assert [repr(e) for e in trace.energies] == [repr(e) for e in energies]
+
+
+class TestBoundaryChecks:
+    """cost, gradient and anneal reject what the anneal step cannot use."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p, w: cost(p, w, 0.5, 1.0),
+            lambda p, w: gradient(p, w, 0.5, 1.0),
+            lambda p, w: anneal(p, SolverConfig(steps=3), w),
+        ],
+        ids=["cost", "gradient", "anneal"],
+    )
+    def test_rejects_biased_problem(self, call):
+        p = IsingProblem(J=np.array([[0.0, 1.0], [1.0, 0.0]]), b=[0.5, 0.0])
+        with pytest.raises(ValueError, match="^problem has a nonzero bias; call solve instead$"):
+            call(p, np.zeros(2))
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda p, w: cost(p, w, 0.5, 1.0), "w"),
+            (lambda p, w: gradient(p, w, 0.5, 1.0), "w"),
+            (lambda p, w: anneal(p, SolverConfig(steps=3), w), "w0"),
+        ],
+        ids=["cost", "gradient", "anneal"],
+    )
+    @pytest.mark.parametrize("w", [np.zeros(3), np.zeros((2, 1)), 0.0], ids=["(3,)", "(2,1)", "()"])
+    def test_rejects_wrong_shape(self, call, name, w, rng):
+        shape = re.escape(str(np.shape(w)))
+        with pytest.raises(ValueError, match=rf"^{name} has shape {shape}, expected \(2,\)$"):
+            call(random_ising(2, rng), w)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_anneal_rejects_non_finite_w0(self, bad, rng):
+        with pytest.raises(ValueError, match="^w0 must be finite$"):
+            anneal(random_ising(2, rng), SolverConfig(steps=3), np.array([0.1, bad]))
 
 
 class TestConfigValidation:
