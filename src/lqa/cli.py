@@ -1,6 +1,6 @@
 """Command-line entry point: solve, generate, bench, oracle.
 
-Exit codes: 0 success, 1 usage or input parse error, 2 runtime
+Exit codes: 0 success, 1 usage, input parse or file error, 2 runtime
 failure. All randomness flows from --seed; when omitted a seed is
 drawn and printed so the run stays reproducible after the fact.
 """
@@ -169,7 +169,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ProblemFormatError, FileNotFoundError, ValueError) as exc:
+    except (ProblemFormatError, OSError, ValueError) as exc:
         print(f"lqa: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SolverError as exc:

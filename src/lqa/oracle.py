@@ -7,15 +7,18 @@ import numpy as np
 from .ising import IsingProblem, as_spins
 
 MAX_BRUTE_FORCE_SPINS = 24
+# energies per enumeration block: the block and its cross term are two
+# (rows, 2^m) float64 buffers of 512 KiB each, reused for every block
+BLOCK_ENTRIES = 2**16
 
 
-def _spin_block(start: int, count: int, n: int) -> np.ndarray:
-    """Rows start..start+count-1 of the 2^n enumeration as +-1 spins.
+def _spin_block(n: int) -> np.ndarray:
+    """All 2^n configurations of n spins as +-1 rows, in enumeration order.
 
     Bit k of the row index gives spin k: 0 -> -1, 1 -> +1, so row order
     is lexicographic with -1 before +1 reading spins from the right.
     """
-    idx = np.arange(start, start + count, dtype=np.uint64)
+    idx = np.arange(2**n, dtype=np.uint64)
     bits = (idx[:, None] >> np.arange(n, dtype=np.uint64)[None, :]) & 1
     return 2.0 * bits.astype(np.float64) - 1.0
 
@@ -27,9 +30,12 @@ def brute_force_ground(
 
     Returns the minimum energy and every minimiser, sorted
     lexicographically. Enumeration is split as s = (s_A, s_B) so the
-    energy of all configurations in a block comes from one dense
-    matrix product; far faster in numpy than per-config Gray-code
-    updates at these sizes.
+    energies of a block of s_A rows against every s_B come from one
+    dense matrix product; far faster in numpy than per-config Gray-code
+    updates at these sizes. Blocks hold BLOCK_ENTRIES energies, so
+    working memory stays near 1 MiB plus the 2^(n - n//2) half-tables
+    at any n; the cap bounds the 2^n run time, and the minimiser list
+    itself is not bounded.
     """
     n = p.n
     if n > max_spins:
@@ -40,26 +46,34 @@ def brute_force_ground(
     J_ab = p.J[:k, k:]
     J_bb = p.J[k:, k:]
 
-    SB = _spin_block(0, 2**m, m)  # all right-half configs
+    SB = _spin_block(m)  # all right-half configs
     eB = np.einsum("ij,jk,ik->i", SB, J_bb, SB) + SB @ p.b[k:]
     cross_T = J_ab @ SB.T  # (k, 2^m)
+    SA = _spin_block(k)  # all left-half configs
+    eA = np.einsum("ij,jk,ik->i", SA, J_aa, SA) + SA @ p.b[:k]
 
+    # 2^k and rows are powers of two, so every block is full
+    rows = min(2**k, max(1, BLOCK_ENTRIES >> m))
+    X = np.empty((rows, 2**m))
+    E = np.empty((rows, 2**m))
     best = np.inf
     minimisers: list[np.ndarray] = []
-    block = 4096
-    for start in range(0, 2**k, block):
-        count = min(block, 2**k - start)
-        SA = _spin_block(start, count, k)
-        eA = np.einsum("ij,jk,ik->i", SA, J_aa, SA) + SA @ p.b[:k]
-        E = eA[:, None] + eB[None, :] + 2.0 * (SA @ cross_T)
-        blk_min = E.min()
+    for start in range(0, 2**k, rows):
+        # E = (eA + eB) + 2 (SA @ cross_T) in place; doubling is exact, so
+        # this association alone fixes every energy's bits
+        np.matmul(SA[start : start + rows], cross_T, out=X)
+        X *= 2.0
+        np.add(eA[start : start + rows, None], eB[None, :], out=E)
+        E += X
+        row_min = E.min(axis=1)
+        blk_min = row_min.min()
         if blk_min < best:
             best = blk_min
             minimisers = []
         if blk_min <= best:
-            rows, cols = np.nonzero(E == best)
-            for r, c in zip(rows, cols):
-                minimisers.append(np.concatenate([SA[r], SB[c]]))
+            for r in np.flatnonzero(row_min == best):
+                for c in np.flatnonzero(E[r] == best):
+                    minimisers.append(np.concatenate([SA[start + r], SB[c]]))
     minimisers.sort(key=lambda s: tuple(s))
     return float(best), minimisers
 

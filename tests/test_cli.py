@@ -64,6 +64,18 @@ class TestSolve:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_output_naming_a_directory_exits_one(self, capsys, tmp_path, ferro_file):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, _, err = run_cli(
+            capsys, "solve", ferro_file, "--steps", "10", "--seed", "1", "--output", str(out_dir)
+        )
+        assert code == 1
+        assert err.startswith("lqa: error: ")
+        assert "Traceback" not in err
+        assert out_dir.is_dir() and not list(out_dir.iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afm.txt", "out"]
+
     def test_omitted_seed_is_printed(self, capsys, ferro_file):
         code, out, _ = run_cli(capsys, "solve", ferro_file, "--steps", "10")
         assert code == 0

@@ -1,9 +1,10 @@
-"""Golden outputs of the anneal loop and the instance generators.
+"""Golden outputs of the anneal loop, the instance generators and the oracle.
 
 The expected spins and trace values below are a recorded reference run;
 a change to the loop or the optimizers must reproduce them bit for bit.
 Floats are compared exactly, via their repr. Generated instances are
-compared by the sha256 of their bytes.
+compared by the sha256 of their bytes, oracle minimisers by the sha256 of
+the stacked minimiser array.
 """
 
 import hashlib
@@ -11,9 +12,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from lqa import SolverConfig, anneal, gen_random_pm1, gen_wishart
+from lqa import (
+    IsingProblem, SolverConfig, anneal, brute_force_ground, gen_random_pm1, gen_wishart,
+)
 from lqa.solver import init_weights
-from conftest import random_ising
+from conftest import random_ising, random_symmetric
 
 # (n, optimizer) -> (spins, trace costs, trace energies)
 GOLDEN = {
@@ -106,3 +109,54 @@ def test_wishart_matches_golden_bytes(n, alpha):
     assert _sha256(inst.problem.J) == J_hash
     assert _sha256(inst.planted) == planted_hash
     assert repr(inst.problem.ground_energy) == repr(ground)
+
+
+# (kind, n, seed) -> repr of the ground energy, minimiser count, sha256 of np.stack(minimisers)
+GOLDEN_ORACLE = {
+    ("uniform", 20, 20): (
+        "-66.90885779364348", 2,
+        "6e9c93f809cfdb3ea5e15190762b4ba86b415c5ac11919acd7e02a57f22715eb",
+    ),
+    ("biased", 13, 13): (
+        "-43.29520415726782", 1,
+        "17ac0812d0e07fce4963e0cdf05c34853cf1635c6e809045c3db9bfd07056c43",
+    ),
+    ("biased", 24, 24): (
+        "-101.66038408426594", 1,
+        "7fccecfee0e0ca75a5b2ec3f617285756b091eb888cc5742a4893c8b04d4622d",
+    ),
+    ("ternary", 20, 4): (
+        "-84.0", 14,
+        "9fd51908ed274e0ba66688707ce7e6ce40c953a2af656b8cfe0b4356dcbbb45f",
+    ),
+    ("zero", 10, 0): (
+        "0.0", 1024,
+        "e0b702494f61c87781badb5f15a8028b1199cca894b26632595b8551b899359c",
+    ),
+}
+
+
+def _oracle_instance(kind, n, seed):
+    """uniform: U[-1, 1] couplings as in small20_oracle; biased: plus a U[-1, 1]
+    bias per spin; ternary: couplings in {-1, 0, 1}, so minimisers tie; zero:
+    no couplings, so all 2^n configurations are minimisers."""
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        return IsingProblem(J=np.zeros((n, n)))
+    if kind == "ternary":
+        J = np.zeros((n, n))
+        iu = np.triu_indices(n, k=1)
+        J[iu] = rng.integers(-1, 2, len(iu[0])).astype(np.float64)
+        J.T[iu] = J[iu]
+        return IsingProblem(J=J)
+    J = random_symmetric(n, rng)
+    return IsingProblem(J=J, b=rng.uniform(-1.0, 1.0, n) if kind == "biased" else None)
+
+
+@pytest.mark.parametrize("kind, n, seed", sorted(GOLDEN_ORACLE))
+def test_oracle_matches_golden_minimisers(kind, n, seed):
+    ground, count, mins_hash = GOLDEN_ORACLE[(kind, n, seed)]
+    e, mins = brute_force_ground(_oracle_instance(kind, n, seed))
+    assert repr(e) == ground
+    assert len(mins) == count
+    assert _sha256(np.stack(mins)) == mins_hash

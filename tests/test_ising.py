@@ -234,6 +234,20 @@ class TestAtomicWrite:
         assert list(tmp_path.iterdir()) == [path]
 
 
+_COEF = st.floats(-1e3, 1e3, allow_nan=False) | st.sampled_from([0.0, 1.0, -1.0])
+
+
+@st.composite
+def _quadratic(draw, max_n=6):
+    """A symmetric zero-diagonal n x n matrix and an n-vector, n <= max_n."""
+    n = draw(st.integers(1, max_n))
+    iu = np.triu_indices(n, k=1)
+    M = np.zeros((n, n))
+    M[iu] = draw(st.lists(_COEF, min_size=len(iu[0]), max_size=len(iu[0])))
+    M.T[iu] = M[iu]
+    return M, np.array(draw(st.lists(_COEF, min_size=n, max_size=n)))
+
+
 class TestQuboToIsing:
     def test_zero_problem(self):
         q = QuboProblem(Q=np.zeros((2, 2)), a=np.zeros(2))
@@ -259,6 +273,17 @@ class TestQuboToIsing:
             assert qubo_objective(q, x) == pytest.approx(
                 objective(p, s) + p.offset, abs=1e-9 * scale
             )
+
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(qa=_quadratic())
+    def test_objective_identity_property(self, qa):
+        Q, a = qa
+        q = QuboProblem(Q=Q, a=a)
+        p = qubo_to_ising(q)
+        tol = 1e-12 * (np.abs(Q).sum() + np.abs(a).sum())
+        for x in all_binary(q.n):
+            assert abs(objective(p, 2 * x - 1) + p.offset - qubo_objective(q, x)) <= tol
 
 
 class TestAbsorbBias:
@@ -291,6 +316,21 @@ class TestAbsorbBias:
         for s in minimisers:
             stripped = normalize_ancilla(s)
             assert objective(p, stripped) == pytest.approx(e, abs=1e-9 * np.abs(p.J).sum())
+
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(jb=_quadratic())
+    def test_absorbed_objective_property(self, jb):
+        # both sides sum the same terms in a different order, so equal up to rounding
+        J, b = jb
+        if not b.any():
+            b[0] = 1.0
+        p = IsingProblem(J=J, b=b)
+        p2 = absorb_bias(p)
+        tol = 1e-12 * (np.abs(J).sum() + np.abs(b).sum())
+        for x in all_binary(p2.n):
+            s = 2 * x - 1
+            assert abs(objective(p2, s) - objective(p, normalize_ancilla(s))) <= tol
 
 
 class TestEnergy:

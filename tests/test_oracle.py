@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +68,18 @@ class TestBruteForce:
         p = IsingProblem(J=np.zeros((25, 25)))
         with pytest.raises(ValueError, match=r"^brute force capped at 24 spins \(got 25\)$"):
             brute_force_ground(p)
+
+    def test_peak_memory_bounded_at_cap(self, rng):
+        # the enumeration works in fixed-size blocks; a single 2^12 x 2^12
+        # energy block and its temporaries would trace about 257 MiB here
+        p = random_ising(24, rng)
+        tracemalloc.start()
+        try:
+            brute_force_ground(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
     def test_lower_bounds_any_solver_output(self, rng):
         from lqa import SolverConfig, anneal
