@@ -274,7 +274,6 @@ class TestQuboToIsing:
                 objective(p, s) + p.offset, abs=1e-9 * scale
             )
 
-
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(qa=_quadratic())
     def test_objective_identity_property(self, qa):
@@ -316,7 +315,6 @@ class TestAbsorbBias:
         for s in minimisers:
             stripped = normalize_ancilla(s)
             assert objective(p, stripped) == pytest.approx(e, abs=1e-9 * np.abs(p.J).sum())
-
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(jb=_quadratic())

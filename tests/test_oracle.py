@@ -70,8 +70,8 @@ class TestBruteForce:
             brute_force_ground(p)
 
     def test_peak_memory_bounded_at_cap(self, rng):
-        # the enumeration works in fixed-size blocks; a single 2^12 x 2^12
-        # energy block and its temporaries would trace about 257 MiB here
+        # fixed-size blocks keep the peak near 2 MiB; one 2^12 x 2^12 energy
+        # block alone would be 128 MiB
         p = random_ising(24, rng)
         tracemalloc.start()
         try:
