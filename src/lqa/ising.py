@@ -10,6 +10,7 @@ quadratic form). The QUBO objective is ``x^T Q x + x^T a`` over
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import warnings
@@ -144,6 +145,8 @@ class IsingProblem:
         _check_finite(b, "b")
         if self.ground_energy is not None and not math.isfinite(self.ground_energy):
             raise ProblemFormatError(f"non-finite ground_energy {self.ground_energy!r}")
+        if not math.isfinite(self.offset):
+            raise ProblemFormatError(f"non-finite offset {self.offset!r}")
         object.__setattr__(self, "J", J)
         object.__setattr__(self, "b", _freeze(b))
         # b is frozen, so scan it once here rather than on every solver step
@@ -248,8 +251,9 @@ def cut_value(p: IsingProblem, s, total_edge_weight: float) -> float:
 # Lines `i j J_ij` with 0-based indices give one coupling per unordered
 # pair (mirrored into both triangles on load); lines `b i b_i` give
 # biases; `#` starts a comment. A `# ground_energy: <float>` comment
-# populates ground_energy. Self-couplings, duplicate pairs, non-finite
-# values and indices at or above MAX_SPINS are rejected.
+# populates ground_energy and a `# offset: <float>` comment populates
+# offset; the last of each wins. Self-couplings, duplicate pairs,
+# non-finite values and indices at or above MAX_SPINS are rejected.
 # ---------------------------------------------------------------------------
 
 MAX_SPINS = 1 << 14
@@ -275,13 +279,24 @@ def load_instance(path) -> IsingProblem:
         return _load_lines(path)
 
 
-def _scan_comments(text: str) -> float | None:
-    """Return the last `# ground_energy:` value, visiting only the `#`s.
+# comment keys that set a field of the loaded problem
+_COMMENT_FIELDS = ("ground_energy", "offset")
+
+
+def _comment_field(line: str) -> tuple[str, str] | None:
+    """Split a `# key: value` comment line with a key in _COMMENT_FIELDS."""
+    key, sep, value = line[1:].strip().partition(":")
+    return (key, value) if sep and key in _COMMENT_FIELDS else None
+
+
+def _scan_comments(text: str) -> dict[str, float]:
+    """Return the last value of each `_COMMENT_FIELDS` comment, visiting
+    only the `#`s.
 
     Raises ValueError for a `#` after data on its line, which the line
-    parser rejects, and for a bad ground_energy value.
+    parser rejects, and for a bad value.
     """
-    ground_energy = None
+    fields = {}
     pos = text.find("#")
     while pos >= 0:
         start = text.rfind("\n", 0, pos) + 1
@@ -289,13 +304,14 @@ def _scan_comments(text: str) -> float | None:
         end = len(text) if end < 0 else end
         if text[start:pos].strip():
             raise ValueError("'#' after data")
-        body = text[pos + 1 : end].strip()
-        if body.startswith("ground_energy:"):
-            ground_energy = float(body.split(":", 1)[1])
-            if not math.isfinite(ground_energy):
-                raise ValueError("non-finite ground_energy")
+        field = _comment_field(text[pos:end])
+        if field:
+            value = float(field[1])
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite {field[0]}")
+            fields[field[0]] = value
         pos = text.find("#", end)
-    return ground_energy
+    return fields
 
 
 def _has_repeats(keys: np.ndarray) -> bool:
@@ -315,7 +331,7 @@ def _load_bulk(path) -> IsingProblem:
         # an S field drops trailing NULs, which int() and float() reject
         if "\0" in text:
             raise ValueError("NUL character")
-        ground_energy = _scan_comments(text)
+        fields = _scan_comments(text)
         del text  # not held while np.loadtxt builds the rows
         fh.seek(0)
         with warnings.catch_warnings():
@@ -347,7 +363,7 @@ def _load_bulk(path) -> IsingProblem:
     J.setflags(write=False)  # fresh, so IsingProblem adopts it
     b = np.zeros(n)
     b[bi] = bval
-    return IsingProblem(J=J, b=b, ground_energy=ground_energy)
+    return IsingProblem(J=J, b=b, **fields)
 
 
 def _load_lines(path) -> IsingProblem:
@@ -355,7 +371,7 @@ def _load_lines(path) -> IsingProblem:
     that reports a bad file's first bad line by number."""
     entries: dict[tuple[int, int], float] = {}
     biases: dict[int, float] = {}
-    ground_energy = None
+    fields: dict[str, float] = {}
     n = 0
     with open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -363,14 +379,16 @@ def _load_lines(path) -> IsingProblem:
             if not line:
                 continue
             if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("ground_energy:"):
+                field = _comment_field(line)
+                if field:
+                    key, text = field
                     try:
-                        ground_energy = float(body.split(":", 1)[1])
+                        value = float(text)
                     except ValueError:
-                        ground_energy = math.nan  # rejected below, as inf and nan are
-                    if not math.isfinite(ground_energy):
-                        raise ProblemFormatError(f"{path}:{lineno}: bad ground_energy value")
+                        value = math.nan  # rejected below, as inf and nan are
+                    if not math.isfinite(value):
+                        raise ProblemFormatError(f"{path}:{lineno}: bad {key} value")
+                    fields[key] = value
                 continue
             parts = line.split()
             if len(parts) != 3:
@@ -422,7 +440,7 @@ def _load_lines(path) -> IsingProblem:
     b = np.zeros(n)
     for i, val in biases.items():
         b[i] = val
-    return IsingProblem(J=J, b=b, ground_energy=ground_energy)
+    return IsingProblem(J=J, b=b, **fields)
 
 
 def _check_index(path, lineno: int, i: int) -> None:
@@ -432,13 +450,15 @@ def _check_index(path, lineno: int, i: int) -> None:
         )
 
 
-def atomic_write(path, text: str) -> None:
-    """Write ASCII text to ``<path>.tmp`` and rename it over path; a write
-    that raises removes the temporary file and leaves path as it was."""
+@contextlib.contextmanager
+def atomic_open(path):
+    """Yield an ASCII text handle on ``<path>.tmp`` and rename the file
+    over path when the block ends; a block that raises removes the
+    temporary file and leaves path as it was."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -446,22 +466,38 @@ def atomic_write(path, text: str) -> None:
         raise
 
 
+def atomic_write(path, text: str) -> None:
+    """Write ASCII text to path through :func:`atomic_open`."""
+    with atomic_open(path) as fh:
+        fh.write(text)
+
+
 def save_instance(p: IsingProblem, path, header_comments=()) -> None:
     """Write an Ising problem in the text coupling format.
 
     Floats are written with repr-level precision so a save/load round
-    trip reproduces couplings exactly.
+    trip reproduces couplings exactly; zero entries (and -0.0) are not
+    written, and a nonzero offset is written as a comment. Lines go to
+    the file a row of J at a time, so memory does not grow with n. A
+    problem with no lines at all writes a single newline.
     """
-    lines = []
-    for comment in header_comments:
-        lines.append(f"# {comment}")
+    head = [f"# {comment}\n" for comment in header_comments]
     if p.ground_energy is not None:
-        lines.append(f"# ground_energy: {p.ground_energy!r}")
-    for i in range(p.n):
-        for j in range(i + 1, p.n):
-            if p.J[i, j] != 0.0:
-                lines.append(f"{i} {j} {float(p.J[i, j])!r}")
-    for i in range(p.n):
-        if p.b[i] != 0.0:
-            lines.append(f"b {i} {float(p.b[i])!r}")
-    atomic_write(path, "\n".join(lines) + "\n")
+        head.append(f"# ground_energy: {p.ground_energy!r}\n")
+    if p.offset != 0.0:
+        head.append(f"# offset: {float(p.offset)!r}\n")
+    with atomic_open(path) as fh:
+        fh.write("".join(head))
+        # one string per row: fewer write calls than one per line
+        for i in range(p.n - 1):
+            row = p.J[i, i + 1 :]
+            cols = np.flatnonzero(row)
+            if cols.size:
+                lead = f"{i} "
+                pairs = zip((cols + (i + 1)).tolist(), row[cols].tolist())
+                fh.write("".join([f"{lead}{j} {v!r}\n" for j, v in pairs]))
+        cols = np.flatnonzero(p.b)
+        if cols.size:
+            fh.write("".join([f"b {i} {v!r}\n" for i, v in zip(cols.tolist(), p.b[cols].tolist())]))
+        if not fh.tell():
+            fh.write("\n")

@@ -105,6 +105,7 @@ class TestSolve:
             ("0 1 1e308\n0 2 1e308\n1 2 1e308\n", 2, "non-finite objective -?inf"),
             ("# ground_energy: nan\n0 1 1.0\n", 1, ":1: bad ground_energy value"),
             ("0 1 1.0\n# ground_energy: -inf\n", 1, ":2: bad ground_energy value"),
+            ("0 1 1.0\n# offset: 1e400\n", 1, ":2: bad offset value"),
         ],
     )
     def test_bad_values_exit_code(self, capsys, tmp_path, text, code, message):

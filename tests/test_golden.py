@@ -4,7 +4,8 @@ The expected spins and trace values below are a recorded reference run;
 a change to the loop or the optimizers must reproduce them bit for bit.
 Floats are compared exactly, via their repr. Generated instances are
 compared by the sha256 of their bytes, oracle minimisers by the sha256 of
-the stacked minimiser array.
+the stacked minimiser array, and instance files by the sha256 of the file
+save_instance writes.
 """
 
 import hashlib
@@ -14,6 +15,7 @@ import pytest
 
 from lqa import (
     IsingProblem, SolverConfig, anneal, brute_force_ground, gen_random_pm1, gen_wishart,
+    save_instance,
 )
 from lqa.solver import init_weights
 from conftest import random_ising, random_symmetric
@@ -160,3 +162,40 @@ def test_oracle_matches_golden_minimisers(kind, n, seed):
     assert repr(e) == ground
     assert len(mins) == count
     assert _sha256(np.stack(mins)) == mins_hash
+
+
+# name -> byte count and sha256 of the file save_instance writes
+GOLDEN_FILES = {
+    "wishart-bias-header": (47086, "d633fd5b836572b6a5ad0eeb34bf1c17b1ee346510fcac332a16b9c3ae78340e"),
+    "pm1-257": (383149, "6c1a4bf4196fbb2c5893fc84f1dbeb1067649b2c402bdbd2376457b1c209c177"),
+    "all-zero": (1, "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b"),
+    "negative-zero": (17, "b05fb50d1eb65c6286f1d4925b03d497070c3a820279b4db6938334c53ecf8b6"),
+}
+
+
+def _file_instance(name):
+    """The problem and header comments of one GOLDEN_FILES entry. The
+    all-zero problem writes the one-byte file "\\n"; -0.0 entries and a
+    -0.0 offset are not written."""
+    if name == "wishart-bias-header":
+        inst = gen_wishart(60, 0.8, 2)
+        p = IsingProblem(J=inst.problem.J, b=-0.1 * inst.planted,
+                         ground_energy=inst.problem.ground_energy - 0.1 * 60)
+        return p, ["planted wishart n=60 alpha=0.8 seed=2"]
+    if name == "pm1-257":
+        return gen_random_pm1(257, 1), ()
+    if name == "all-zero":
+        return IsingProblem(J=np.zeros((3, 3))), ()
+    J = np.array([[0.0, -0.0, 0.5], [-0.0, 0.0, -0.0], [0.5, -0.0, 0.0]])
+    return IsingProblem(J=J, b=[-0.0, 0.25, 0.0], offset=-0.0), ()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FILES))
+def test_save_instance_matches_golden_bytes(name, tmp_path):
+    size, file_hash = GOLDEN_FILES[name]
+    p, header = _file_instance(name)
+    path = tmp_path / "p.txt"
+    save_instance(p, path, header_comments=header)
+    data = path.read_bytes()
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == file_hash

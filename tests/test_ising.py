@@ -1,8 +1,11 @@
+import contextlib
 import copy
 import dataclasses
 import itertools
 import math
+import os
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,8 +98,9 @@ class TestProblemInvariants:
             lambda v: QuboProblem(Q=np.array([[0.0, v], [v, 0.0]]), a=np.zeros(2)),
             lambda v: QuboProblem(Q=np.zeros((2, 2)), a=np.array([v, 0.0])),
             lambda v: IsingProblem(J=np.zeros((2, 2)), ground_energy=v),
+            lambda v: IsingProblem(J=np.zeros((2, 2)), offset=v),
         ],
-        ids=["J", "b", "Q", "a", "ground_energy"],
+        ids=["J", "b", "Q", "a", "ground_energy", "offset"],
     )
     def test_rejects_non_finite(self, make, bad):
         with pytest.raises(ProblemFormatError, match="non-finite"):
@@ -231,6 +235,53 @@ class TestAtomicWrite:
         with pytest.raises(UnicodeEncodeError):
             save_instance(p, path, header_comments=["n\u00e9"])
         assert path.read_text() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_block_raising_mid_stream_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        ising.atomic_write(path, "old\n")
+        with pytest.raises(RuntimeError, match="stop"):
+            with ising.atomic_open(path) as fh:
+                fh.write("0 1 1.0\n" * 10000)
+                fh.flush()
+                assert os.path.getsize(f"{path}.tmp") == 80000
+                raise RuntimeError("stop")
+        assert path.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_save_instance_failing_mid_stream_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "p.txt"
+        save_instance(IsingProblem(J=np.array([[0.0, 0.5], [0.5, 0.0]])), path)
+        before = path.read_bytes()
+
+        class FailingHandle:
+            """Passes three writes through, then raises with rows on disk."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def write(self, text):
+                if self.writes == 3:
+                    self.fh.flush()
+                    assert os.path.getsize(f"{path}.tmp") > 0
+                    raise OSError("disk full")
+                self.writes += 1
+                return self.fh.write(text)
+
+        real_open = ising.atomic_open
+
+        @contextlib.contextmanager
+        def failing_open(target):
+            with real_open(target) as fh:
+                yield FailingHandle(fh)
+
+        monkeypatch.setattr(ising, "atomic_open", failing_open)
+        with pytest.raises(OSError, match="disk full"):
+            save_instance(gen_random_pm1(20, 1), path)
+        assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
 
 
@@ -400,6 +451,21 @@ class TestInstanceFormat:
         f.write_text("# ground_energy: -3.0\n0 1 1.0\n")
         assert load_instance(f).ground_energy == -3.0
 
+    def test_offset_comment(self, tmp_path):
+        f = tmp_path / "p.txt"
+        f.write_text("# offset: 2.5\n0 1 1.0\n")
+        assert load_instance(f).offset == 2.5
+
+    def test_qubo_offset_round_trip(self, tmp_path):
+        p = qubo_to_ising(QuboProblem(Q=np.array([[0.0, 1.0], [1.0, 0.0]]), a=np.array([3.0, -2.0])))
+        assert p.offset == 1.0
+        f = tmp_path / "p.txt"
+        save_instance(p, f)
+        assert "# offset: 1.0\n" in f.read_text()
+        back = load_instance(f)
+        assert back.offset == p.offset
+        assert np.array_equal(back.J, p.J) and np.array_equal(back.b, p.b)
+
     def test_bias_lines(self, tmp_path):
         f = tmp_path / "p.txt"
         f.write_text("0 1 -2.5\nb 0 1.5\n")
@@ -442,6 +508,18 @@ class TestInstanceFormat:
         f2 = tmp_path / "w2.txt"
         save_instance(back, f2)
         assert f.read_bytes() == f2.read_bytes()
+
+    def test_save_peak_memory_bounded(self, tmp_path):
+        # one row's lines at a time, never the whole file
+        save_instance(gen_random_pm1(3, 1), tmp_path / "warm.txt")
+        p = gen_random_pm1(1000, 1)
+        tracemalloc.start()
+        try:
+            save_instance(p, tmp_path / "p.txt")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= p.J.nbytes / 8
 
     @pytest.mark.parametrize(
         "text, message",
@@ -537,6 +615,7 @@ def _instance_lines(draw, separators=_SEPARATORS):
         st.just("#"),
         st.builds(lambda v: f" # ground_energy: {v!r}", _FINITE),
         st.builds(lambda v: f"#ground_energy:{v!r} ", _FINITE),
+        st.builds(lambda v: f"# offset: {v!r}", _FINITE),
     )
     lines += draw(st.lists(comments, max_size=3))
     lines += draw(st.lists(st.sampled_from(["", " ", "\t "]), max_size=2))
@@ -579,6 +658,9 @@ _MALFORMED_ROWS = [
     "# ground_energy: twelve",
     "# ground_energy: nan",
     "# ground_energy: inf",
+    "# offset: twelve",
+    "# offset: nan",
+    "#offset:-inf",
 ]
 # Rows the line parser accepts but the bulk pass leaves to it: a first
 # field too long for the bulk row type, and digit separators.
@@ -611,7 +693,7 @@ def _outcome(load, path):
         p = load(path)
     except (ProblemFormatError, UnicodeDecodeError) as exc:
         return type(exc).__name__, str(exc)
-    return p.J.tobytes(), p.b.tobytes(), p.ground_energy
+    return p.J.tobytes(), p.b.tobytes(), p.ground_energy, p.offset
 
 
 class TestBulkParser:
@@ -645,15 +727,16 @@ class TestBulkParser:
         n=st.integers(1, 6),
         data=st.data(),
         ground_energy=st.one_of(st.none(), _FINITE),
+        offset=st.one_of(st.just(0.0), _FINITE),
     )
-    def test_save_load_round_trip(self, tmp_path_factory, n, data, ground_energy):
+    def test_save_load_round_trip(self, tmp_path_factory, n, data, ground_energy, offset):
         values = data.draw(st.lists(_FINITE | st.just(0.0), min_size=n * n + n, max_size=n * n + n))
         J = np.triu(np.array(values[: n * n]).reshape(n, n), 1)
         J = J + J.T
         b = np.array(values[n * n :])
         if not (J.any() or b.any()):
             b[0] = 1.0  # an all-zero problem writes no data lines
-        p = IsingProblem(J=J, b=b, ground_energy=ground_energy)
+        p = IsingProblem(J=J, b=b, offset=offset, ground_energy=ground_energy)
         f = tmp_path_factory.mktemp("rt") / "p.txt"
         save_instance(p, f)
         back = load_instance(f)
@@ -664,3 +747,4 @@ class TestBulkParser:
         assert np.array_equal(back.b, p.b[: back.n])
         assert not p.J[back.n :].any() and not p.b[back.n :].any()
         assert back.ground_energy == ground_energy
+        assert back.offset == offset
