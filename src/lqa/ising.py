@@ -306,10 +306,10 @@ def _scan_comments(text: str) -> dict[str, float]:
             raise ValueError("'#' after data")
         field = _comment_field(text[pos:end])
         if field:
-            value = float(field[1])
+            key, value = field[0], float(field[1])
             if not math.isfinite(value):
-                raise ValueError(f"non-finite {field[0]}")
-            fields[field[0]] = value
+                raise ValueError(f"non-finite {key}")
+            fields[key] = value
         pos = text.find("#", end)
     return fields
 

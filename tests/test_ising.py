@@ -451,11 +451,6 @@ class TestInstanceFormat:
         f.write_text("# ground_energy: -3.0\n0 1 1.0\n")
         assert load_instance(f).ground_energy == -3.0
 
-    def test_offset_comment(self, tmp_path):
-        f = tmp_path / "p.txt"
-        f.write_text("# offset: 2.5\n0 1 1.0\n")
-        assert load_instance(f).offset == 2.5
-
     def test_qubo_offset_round_trip(self, tmp_path):
         p = qubo_to_ising(QuboProblem(Q=np.array([[0.0, 1.0], [1.0, 0.0]]), a=np.array([3.0, -2.0])))
         assert p.offset == 1.0
