@@ -14,6 +14,10 @@ import numpy as np
 
 from .ising import IsingProblem, _upper_tiles
 
+# draws per band of rows in gen_random_pm1: two 512 KiB buffers (the
+# indices and the signs) whatever n is
+_BAND_ENTRIES = 2**16
+
 
 @dataclass(frozen=True)
 class PlantedInstance:
@@ -27,19 +31,27 @@ def gen_random_pm1(n: int, seed) -> IsingProblem:
     """Fully connected symmetric couplings with J_ij = +-1 uniform.
 
     The n(n-1)/2 upper-triangle entries are drawn independently from a
-    seeded generator in row-major order and mirrored.
+    seeded generator in row-major order and mirrored. They are drawn a
+    band of rows at a time straight into J, so memory beyond J stays
+    fixed; the values equal one ``rng.choice([-1.0, 1.0], n(n-1)/2)``.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     rng = np.random.default_rng(seed)
-    vals = rng.choice([-1.0, 1.0], size=n * (n - 1) // 2)
+    signs = np.array([-1.0, 1.0])
     J = np.zeros((n, n))
-    start = 0
-    for i in range(n - 1):
-        stop = start + n - 1 - i
-        J[i, i + 1 :] = vals[start:stop]
-        start = stop
-    del vals
+    band = max(1, _BAND_ENTRIES // n)
+    for lo in range(0, n - 1, band):
+        hi = min(lo + band, n - 1)
+        # rng.choice(signs, k) is signs.take(rng.integers(0, 2, k)), and
+        # the integers stream does not depend on how the draws are split
+        size = (hi - lo) * (2 * n - lo - hi - 1) // 2
+        vals = signs.take(rng.integers(0, 2, size=size))
+        start = 0
+        for i in range(lo, hi):
+            stop = start + n - 1 - i
+            J[i, i + 1 :] = vals[start:stop]
+            start = stop
     for rows, cols in _upper_tiles(n):
         # the mirror tile is zero; on a diagonal tile this fills its lower half
         J[cols, rows] += J[rows, cols].T

@@ -168,15 +168,15 @@ def test_oracle_matches_golden_minimisers(kind, n, seed):
 GOLDEN_FILES = {
     "wishart-bias-header": (47086, "d633fd5b836572b6a5ad0eeb34bf1c17b1ee346510fcac332a16b9c3ae78340e"),
     "pm1-257": (383149, "6c1a4bf4196fbb2c5893fc84f1dbeb1067649b2c402bdbd2376457b1c209c177"),
-    "all-zero": (1, "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b"),
+    "all-zero": (7, "33649e899a3a6f5e9a0e04e3cfcd023d730dbe7d26ff41470639c5fb6252a958"),
     "negative-zero": (17, "b05fb50d1eb65c6286f1d4925b03d497070c3a820279b4db6938334c53ecf8b6"),
 }
 
 
 def _file_instance(name):
     """The problem and header comments of one GOLDEN_FILES entry. The
-    all-zero problem writes the one-byte file "\\n"; -0.0 entries and a
-    -0.0 offset are not written."""
+    all-zero problem writes only its spin count, "# n: 3\\n"; -0.0 entries
+    and a -0.0 offset are not written."""
     if name == "wishart-bias-header":
         inst = gen_wishart(60, 0.8, 2)
         p = IsingProblem(J=inst.problem.J, b=-0.1 * inst.planted,

@@ -99,8 +99,11 @@ class TestProblemInvariants:
             lambda v: QuboProblem(Q=np.zeros((2, 2)), a=np.array([v, 0.0])),
             lambda v: IsingProblem(J=np.zeros((2, 2)), ground_energy=v),
             lambda v: IsingProblem(J=np.zeros((2, 2)), offset=v),
+            # n = 300: the entries lie in the second 256-row band
+            lambda v: IsingProblem(J=np.pad([[0.0, v], [v, 0.0]], (298, 0))),
+            lambda v: IsingProblem(J=np.zeros((300, 300)), b=np.pad([v], (299, 0))),
         ],
-        ids=["J", "b", "Q", "a", "ground_energy", "offset"],
+        ids=["J", "b", "Q", "a", "ground_energy", "offset", "J-second-band", "b-second-band"],
     )
     def test_rejects_non_finite(self, make, bad):
         with pytest.raises(ProblemFormatError, match="non-finite"):
@@ -131,6 +134,19 @@ class TestOwnership:
     def test_read_only_owning_float64_is_adopted(self):
         J = _read_only(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert IsingProblem(J=J).J is J
+
+    def test_validation_peak_memory_bounded(self):
+        # an adopted J is checked a band of rows at a time, with no n x n
+        # boolean temporary
+        J = _read_only(np.array(gen_random_pm1(1000, 1).J))
+        IsingProblem(J=_read_only(np.zeros((3, 3))))
+        tracemalloc.start()
+        try:
+            IsingProblem(J=J)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= J.nbytes / 16
 
     @pytest.mark.parametrize(
         "make",
@@ -504,6 +520,36 @@ class TestInstanceFormat:
         save_instance(back, f2)
         assert f.read_bytes() == f2.read_bytes()
 
+    def test_isolated_last_spin_round_trip(self, tmp_path):
+        J = np.zeros((4, 4))
+        J[0, 1] = J[1, 0] = 1.0
+        f = tmp_path / "p.txt"
+        save_instance(IsingProblem(J=J), f)
+        assert f.read_text() == "# n: 4\n0 1 1.0\n"
+        back = load_instance(f)
+        assert back.n == 4 and np.array_equal(back.J, J)
+
+    def test_last_n_comment_wins(self, tmp_path):
+        f = tmp_path / "p.txt"
+        f.write_text("# n: 9\n0 1 1.0\n# n: 5\n")
+        assert load_instance(f).n == 5
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# n: 1.5\n0 1 1.0\n", ":1: bad n value"),
+            ("0 1 1.0\n# n: three\n", ":2: bad n value"),
+            ("# n: 2\n0 3 1.0\n", ":1: n 2 is below the largest index \\+ 1, 4"),
+            ("b 2 1.0\n# n: -1\n", ":2: n -1 is below the largest index \\+ 1, 3"),
+            (f"0 1 1.0\n# n: {MAX_SPINS + 1}\n", f":2: n {MAX_SPINS + 1} is above the cap"),
+        ],
+    )
+    def test_bad_n_comment_rejected(self, tmp_path, text, message):
+        f = tmp_path / "p.txt"
+        f.write_text(text)
+        with pytest.raises(ProblemFormatError, match=message):
+            load_instance(f)
+
     def test_save_peak_memory_bounded(self, tmp_path):
         # one row's lines at a time, never the whole file
         save_instance(gen_random_pm1(3, 1), tmp_path / "warm.txt")
@@ -534,7 +580,7 @@ class TestInstanceFormat:
             load_instance(f)
 
     @pytest.mark.filterwarnings("error")  # np.loadtxt warns on input without data
-    @pytest.mark.parametrize("text", ["", "# ground_energy: 1.0\n", "\n \t\n"])
+    @pytest.mark.parametrize("text", ["", "# ground_energy: 1.0\n", "\n \t\n", "# n: 0\n"])
     def test_file_without_data_rejected(self, tmp_path, text):
         f = tmp_path / "p.txt"
         f.write_text(text)
@@ -611,6 +657,7 @@ def _instance_lines(draw, separators=_SEPARATORS):
         st.builds(lambda v: f" # ground_energy: {v!r}", _FINITE),
         st.builds(lambda v: f"#ground_energy:{v!r} ", _FINITE),
         st.builds(lambda v: f"# offset: {v!r}", _FINITE),
+        st.builds(lambda k: f"# n: {k}", st.integers(n, n + 3)),
     )
     lines += draw(st.lists(comments, max_size=3))
     lines += draw(st.lists(st.sampled_from(["", " ", "\t "]), max_size=2))
@@ -656,6 +703,9 @@ _MALFORMED_ROWS = [
     "# offset: twelve",
     "# offset: nan",
     "#offset:-inf",
+    "# n: 1.5",
+    "# n: three",
+    f"# n: {MAX_SPINS + 1}",
 ]
 # Rows the line parser accepts but the bulk pass leaves to it: a first
 # field too long for the bulk row type, and digit separators.
@@ -729,17 +779,12 @@ class TestBulkParser:
         J = np.triu(np.array(values[: n * n]).reshape(n, n), 1)
         J = J + J.T
         b = np.array(values[n * n :])
-        if not (J.any() or b.any()):
-            b[0] = 1.0  # an all-zero problem writes no data lines
         p = IsingProblem(J=J, b=b, offset=offset, ground_energy=ground_energy)
         f = tmp_path_factory.mktemp("rt") / "p.txt"
         save_instance(p, f)
         back = load_instance(f)
-        # zero entries are not written, so the loaded problem may be
-        # smaller when the trailing spins are isolated
-        assert back.n <= n
-        assert np.array_equal(back.J, p.J[: back.n, : back.n])
-        assert np.array_equal(back.b, p.b[: back.n])
-        assert not p.J[back.n :].any() and not p.b[back.n :].any()
+        assert back.n == n
+        assert np.array_equal(back.J, p.J)
+        assert np.array_equal(back.b, p.b)
         assert back.ground_energy == ground_energy
         assert back.offset == offset
