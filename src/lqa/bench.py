@@ -103,6 +103,9 @@ class TrialReport:
     cut: float | None
     wall_ms: float
     failed: bool
+    # a failed trial's SolverError: what turned non-finite, and at which step
+    reason: str | None = None
+    step: int | None = None
     trace: TrialTrace | None = None
 
 
@@ -178,9 +181,11 @@ def _run_trial(spec: BenchSpec, problems, inst_idx: int, trial: int) -> TrialRep
     start = time.perf_counter()
     try:
         result = solve(problem, cfg)
-    except SolverError:
+    except SolverError as exc:
         wall = (time.perf_counter() - start) * 1e3
-        return TrialReport(inst.id, trial, spec.steps, None, None, None, wall, True)
+        return TrialReport(
+            inst.id, trial, spec.steps, None, None, None, wall, True, exc.reason, exc.step
+        )
     wall = (time.perf_counter() - start) * 1e3
     # result.energy is objective(problem, spins), so this is cut_value's cut
     cut = None if total is None else (total - result.energy) / 2.0
@@ -324,12 +329,16 @@ def _fmt(v) -> str:
 
 
 def write_reports_csv(reports: list[TrialReport], path) -> None:
-    """Per-trial CSV: instance,trial,steps,final_energy,relative_error,cut,wall_ms,failed."""
-    lines = ["instance,trial,steps,final_energy,relative_error,cut,wall_ms,failed"]
+    """Per-trial CSV:
+    instance,trial,steps,final_energy,relative_error,cut,wall_ms,failed,reason,step.
+    ``reason`` and ``step`` say why and at which anneal step a failed
+    trial stopped; both are empty for a trial that did not fail."""
+    lines = ["instance,trial,steps,final_energy,relative_error,cut,wall_ms,failed,reason,step"]
     for r in reports:
         lines.append(
             f"{r.instance},{r.trial},{r.steps},{_fmt(r.final_energy)},"
-            f"{_fmt(r.relative_error)},{_fmt(r.cut)},{r.wall_ms:.3f},{int(r.failed)}"
+            f"{_fmt(r.relative_error)},{_fmt(r.cut)},{r.wall_ms:.3f},{int(r.failed)},"
+            f"{r.reason or ''},{_fmt(r.step)}"
         )
     atomic_write(path, "\n".join(lines) + "\n")
 

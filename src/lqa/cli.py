@@ -23,6 +23,8 @@ from .solver import OPTIMIZERS, SolverConfig, SolverError, solve
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
+# `lqa oracle` prints at most this many minimisers after their count
+ORACLE_SHOWN = 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -153,8 +155,10 @@ def _cmd_oracle(args) -> int:
     e, minimisers = brute_force_ground(problem)
     print(f"ground_energy: {e!r}")
     print(f"minimisers: {len(minimisers)}")
-    for s in minimisers:
+    for s in minimisers[:ORACLE_SHOWN]:
         print(_spin_string(s))
+    if len(minimisers) > ORACLE_SHOWN:
+        print(f"... {len(minimisers) - ORACLE_SHOWN} more")
     return EXIT_OK
 
 

@@ -32,10 +32,13 @@ def brute_force_ground(
     lexicographically. Enumeration is split as s = (s_A, s_B) so the
     energies of a block of s_A rows against every s_B come from one
     dense matrix product; far faster in numpy than per-config Gray-code
-    updates at these sizes. Blocks hold BLOCK_ENTRIES energies, so
-    working memory stays near 1 MiB plus the 2^(n - n//2) half-tables
-    at any n; the cap bounds the 2^n run time, and the minimiser list
-    itself is not bounded.
+    updates at these sizes. Without a bias every term is a product of
+    two spins, so E(s) = E(-s) bit for bit: the last spin is fixed to
+    +1, only 2^(n-1) energies are enumerated, and each minimiser's
+    negation is added. Blocks hold BLOCK_ENTRIES energies, so working
+    memory stays near 1 MiB plus the 2^(n - n//2) half-tables at any n;
+    the cap bounds the 2^n run time, and the minimiser list itself is
+    not bounded.
     """
     n = p.n
     if n > max_spins:
@@ -46,23 +49,28 @@ def brute_force_ground(
     J_ab = p.J[:k, k:]
     J_bb = p.J[k:, k:]
 
+    symmetric = not p.has_bias  # then E(s) = E(-s)
     SB = _spin_block(m)  # all right-half configs
+    if symmetric:
+        SB = SB[2 ** (m - 1) :]  # the half whose last spin is +1
+    width = len(SB)
     eB = np.einsum("ij,jk,ik->i", SB, J_bb, SB) + SB @ p.b[k:]
-    cross_T = J_ab @ SB.T  # (k, 2^m)
+    cross_T = J_ab @ SB.T  # (k, width)
+    cross_T *= 2.0
     SA = _spin_block(k)  # all left-half configs
     eA = np.einsum("ij,jk,ik->i", SA, J_aa, SA) + SA @ p.b[:k]
 
-    # 2^k and rows are powers of two, so every block is full
-    rows = min(2**k, max(1, BLOCK_ENTRIES >> m))
-    X = np.empty((rows, 2**m))
-    E = np.empty((rows, 2**m))
+    # 2^k, width and rows are powers of two, so every block is full
+    rows = min(2**k, max(1, BLOCK_ENTRIES // width))
+    X = np.empty((rows, width))
+    E = np.empty((rows, width))
     best = np.inf
     minimisers: list[np.ndarray] = []
     for start in range(0, 2**k, rows):
-        # E = (eA + eB) + 2 (SA @ cross_T) in place; doubling is exact, so
-        # this association alone fixes every energy's bits
+        # E = (eA + eB) + 2 (SA @ cross_T) in place, the 2 folded into
+        # cross_T once: doubling is exact, so the product keeps its bits,
+        # and this association alone fixes every energy's bits
         np.matmul(SA[start : start + rows], cross_T, out=X)
-        X *= 2.0
         np.add(eA[start : start + rows, None], eB[None, :], out=E)
         E += X
         row_min = E.min(axis=1)
@@ -74,6 +82,8 @@ def brute_force_ground(
             for r in np.flatnonzero(row_min == best):
                 for c in np.flatnonzero(E[r] == best):
                     minimisers.append(np.concatenate([SA[start + r], SB[c]]))
+    if symmetric:
+        minimisers += [-s for s in minimisers]
     minimisers.sort(key=lambda s: tuple(s))
     return float(best), minimisers
 

@@ -32,7 +32,23 @@ ADAM_EPS = 1e-8
 
 
 class SolverError(RuntimeError):
-    """Raised when the optimisation produces non-finite values."""
+    """Raised when the optimisation produces non-finite values.
+
+    ``reason`` names what turned non-finite, without commas so that it
+    fits one CSV field ("non-finite parameters", "non-finite Adam second
+    moment", "non-finite cost", "non-finite objective"), and ``step`` is
+    the anneal step at which it was seen. The message defaults to
+    "<reason> at step <step>".
+    """
+
+    def __init__(self, reason: str, step: int, message: str | None = None):
+        super().__init__(message or f"{reason} at step {step}")
+        self.reason = reason
+        self.step = step
+
+    def __reduce__(self):
+        # rebuild from the fields, so the error can cross a process pool
+        return type(self), (self.reason, self.step, str(self))
 
 
 @dataclass
@@ -199,13 +215,13 @@ def anneal(
             else:
                 update_momentum(w, v, g, eta, mu)
             if not np.isfinite(watched).all():
-                raise SolverError(f"non-finite {what} at step {i}")
+                raise SolverError(f"non-finite {what}", i)
             if trace is not None and (i % cfg.trace_stride == 0 or i == cfg.steps):
                 c = cost(p, w, t, cfg.gamma)
                 s = spin_readout(w)
                 e = float(s @ (p.J @ s))
                 if not math.isfinite(c):
-                    raise SolverError(f"non-finite cost at step {i}")
+                    raise SolverError("non-finite cost", i)
                 trace.append(i, t, c, e)
     return spin_readout(w), trace
 
@@ -236,7 +252,10 @@ def solve(p: IsingProblem, cfg: SolverConfig, w0: np.ndarray | None = None) -> S
     with np.errstate(over="ignore"):
         e = objective(p, s)
     if not math.isfinite(e):
-        raise SolverError(f"non-finite objective {e!r} after the last step ({cfg.steps})")
+        raise SolverError(
+            "non-finite objective", cfg.steps,
+            f"non-finite objective {e!r} after the last step ({cfg.steps})",
+        )
     rel = None
     if p.ground_energy is not None and p.ground_energy != 0.0:
         rel = abs((e - p.ground_energy) / p.ground_energy)

@@ -122,6 +122,7 @@ def test_criterion_3_saddle_behaviour():
     )
 
 
+@pytest.mark.slow
 def test_criterion_4_wishart_easy_hard_easy():
     """Mean relative error over an alpha sweep rises then falls, and
     the easiest point is solved exactly in at least one trial."""
@@ -161,6 +162,7 @@ def test_criterion_4_wishart_easy_hard_easy():
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_k2000_scale_protocol():
     """Scaled K2000 protocol: best-so-far cut non-decreasing per trial
     and final cuts concentrated within 1% of the best."""

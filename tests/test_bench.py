@@ -205,6 +205,8 @@ class TestRunBatch:
         reports = run_batch(spec, problems={"bad": bad})
         assert len(reports) == 2
         assert all(r.failed and r.final_energy is None for r in reports)
+        # J @ z overflows once the spins leave their small start
+        assert [(r.reason, r.step) for r in reports] == [("non-finite parameters", 2)] * 2
 
     def test_best_so_far_trace_monotone(self):
         spec = self._spec(trace_stride=5)
@@ -317,10 +319,14 @@ class TestSpecFile:
 class TestCsvOutput:
     def test_reports_csv(self, tmp_path):
         path = tmp_path / "trials.csv"
-        write_reports_csv([make_report(rel=0.5, energy=-2.0)], path)
+        failed = dataclasses.replace(make_report(trial=1, failed=True), reason="non-finite cost", step=7)
+        write_reports_csv([make_report(rel=0.5, energy=-2.0), failed], path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "instance,trial,steps,final_energy,relative_error,cut,wall_ms,failed"
-        assert lines[1].startswith("a,0,10,-2.0,0.5,,")
+        assert lines[0] == (
+            "instance,trial,steps,final_energy,relative_error,cut,wall_ms,failed,reason,step"
+        )
+        assert lines[1] == "a,0,10,-2.0,0.5,,1.000,0,,"
+        assert lines[2] == "a,1,10,,,,1.000,1,non-finite cost,7"
 
     def test_summary_csv(self, tmp_path):
         path = tmp_path / "summary.csv"

@@ -244,6 +244,19 @@ class TestOracle:
         assert code == 0
         assert out.splitlines() == ["ground_energy: -4.0", "minimisers: 1", "-++"]
 
+    def test_prints_at_most_sixteen_minimisers(self, capsys, tmp_path):
+        f = tmp_path / "zero.txt"
+        f.write_text("# n: 12\n")  # no couplings: all 4096 configurations tie
+        code, out, _ = run_cli(capsys, "oracle", str(f))
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:2] == ["ground_energy: 0.0", "minimisers: 4096"]
+        assert lines[2:18] == [
+            "-" * 8 + "".join("+" if (j >> (3 - b)) & 1 else "-" for b in range(4))
+            for j in range(16)
+        ]
+        assert lines[18:] == ["... 4080 more"]
+
     def test_cap_has_no_override(self, capsys, tmp_path):
         f = tmp_path / "big.txt"
         lines = [f"{i} {i+1} 1.0" for i in range(24)]  # 25 spins

@@ -127,6 +127,14 @@ GOLDEN_ORACLE = {
         "-101.66038408426594", 1,
         "7fccecfee0e0ca75a5b2ec3f617285756b091eb888cc5742a4893c8b04d4622d",
     ),
+    ("tiny", 16, 16): (
+        "-4.8690926753964815e-306", 2,
+        "d8b3edc82b02cfc5c941848e1a8969a750e6fcde92f0b8735644f5d73ba24fe1",
+    ),
+    ("uniform", 24, 24): (
+        "-101.13155949172827", 2,
+        "9107db37e13765901bf290183f48e0addd89065daeabb04eb57399494135cf14",
+    ),
     ("ternary", 20, 4): (
         "-84.0", 14,
         "9fd51908ed274e0ba66688707ce7e6ce40c953a2af656b8cfe0b4356dcbbb45f",
@@ -140,8 +148,10 @@ GOLDEN_ORACLE = {
 
 def _oracle_instance(kind, n, seed):
     """uniform: U[-1, 1] couplings as in small20_oracle; biased: plus a U[-1, 1]
-    bias per spin; ternary: couplings in {-1, 0, 1}, so minimisers tie; zero:
-    no couplings, so all 2^n configurations are minimisers."""
+    bias per spin; tiny: uniform scaled by 1e-307, so partial sums of the
+    cross term come near the subnormal range; ternary: couplings in
+    {-1, 0, 1}, so minimisers tie; zero: no couplings, so all 2^n
+    configurations are minimisers."""
     rng = np.random.default_rng(seed)
     if kind == "zero":
         return IsingProblem(J=np.zeros((n, n)))
@@ -152,6 +162,8 @@ def _oracle_instance(kind, n, seed):
         J.T[iu] = J[iu]
         return IsingProblem(J=J)
     J = random_symmetric(n, rng)
+    if kind == "tiny":
+        J *= 1e-307
     return IsingProblem(J=J, b=rng.uniform(-1.0, 1.0, n) if kind == "biased" else None)
 
 

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lqa import IsingProblem, brute_force_ground, objective
 from lqa.oracle import single_flip_stable
@@ -55,6 +57,32 @@ class TestBruteForce:
         keys = {tuple(s) for s in mins}
         assert all(tuple(-s) in keys for s in mins)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 9),
+        kind=st.sampled_from(["uniform", "ternary", "zero"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_unbiased_half_enumeration_property(self, n, kind, seed):
+        # without a bias only the configurations with s_n = +1 are
+        # enumerated, and their negations supply the rest; ternary
+        # couplings tie many minimisers, zero couplings tie all 2^n
+        rng = np.random.default_rng(seed)
+        if kind == "uniform":
+            J = random_symmetric(n, rng)
+        else:
+            J = np.zeros((n, n))
+            if kind == "ternary":
+                iu = np.triu_indices(n, k=1)
+                J[iu] = rng.integers(-1, 2, len(iu[0])).astype(np.float64)
+                J.T[iu] = J[iu]
+        p = IsingProblem(J=J)
+        _, mins = brute_force_ground(p)
+        keys = [tuple(s) for s in mins]
+        assert keys == sorted(tuple(s) for s in naive_ground(p)[1])
+        assert len(set(keys)) == len(keys)
+        assert {tuple(-s) for s in mins} == set(keys)
+
     def test_wishart_planted_recovered(self):
         from lqa import gen_wishart
 
@@ -69,10 +97,13 @@ class TestBruteForce:
         with pytest.raises(ValueError, match=r"^brute force capped at 24 spins \(got 25\)$"):
             brute_force_ground(p)
 
-    def test_peak_memory_bounded_at_cap(self, rng):
+    @pytest.mark.parametrize("biased", [False, True], ids=["unbiased", "biased"])
+    def test_peak_memory_bounded_at_cap(self, biased, rng):
         # fixed-size blocks keep the peak near 2 MiB; one 2^12 x 2^12 energy
-        # block alone would be 128 MiB
-        p = random_ising(24, rng)
+        # block alone would be 128 MiB. The unbiased problem enumerates half
+        # the configurations, the biased one all of them
+        b = rng.uniform(-1, 1, 24) if biased else None
+        p = IsingProblem(J=random_symmetric(24, rng), b=b)
         tracemalloc.start()
         try:
             brute_force_ground(p)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 import re
 
 import numpy as np
@@ -216,8 +217,10 @@ class TestAnneal:
         # J @ z sums two terms near 1e308 and overflows in the first gradient
         J = np.full((3, 3), 1e308) - np.diag([1e308] * 3)
         cfg = SolverConfig(steps=10, gamma=1.0, optimizer=optimizer)
-        with pytest.raises(SolverError, match=r"step 1$"):
+        with pytest.raises(SolverError, match=r"step 1$") as exc:
             anneal(IsingProblem(J=J), cfg, np.array([5.0, 5.0, 5.0]))
+        what = "Adam second moment" if optimizer == "adam" else "parameters"
+        assert (exc.value.reason, exc.value.step) == (f"non-finite {what}", 1)
 
     @pytest.mark.filterwarnings("error")
     def test_adam_second_moment_overflow_fails(self):
@@ -363,8 +366,11 @@ class TestSolve:
     def test_overflowed_objective_raises(self):
         J = np.full((3, 3), 1e308) - np.diag([1e308] * 3)
         cfg = SolverConfig(steps=1, optimizer="vanilla", seed=1)
-        with pytest.raises(SolverError, match=r"non-finite objective .* last step \(1\)"):
+        with pytest.raises(SolverError, match=r"non-finite objective .* last step \(1\)") as exc:
             solve(IsingProblem(J=J), cfg)
+        assert (exc.value.reason, exc.value.step) == ("non-finite objective", 1)
+        back = pickle.loads(pickle.dumps(exc.value))
+        assert (back.reason, back.step, str(back)) == ("non-finite objective", 1, str(exc.value))
 
     def test_biased_problems_reach_oracle_ground(self, rng):
         cfg = SolverConfig(steps=500, gamma=1.0, step_size=0.02, momentum=0.99, optimizer="momentum")
