@@ -9,6 +9,8 @@ planted ensembles), a brute-force oracle for small systems, and a
 trial-batch benchmark harness.
 """
 
+import importlib
+
 from .ising import (
     IsingProblem,
     ProblemFormatError,
@@ -27,9 +29,27 @@ from .solver import (
     gradient,
     solve,
 )
-from .generators import gen_random_pm1, gen_wishart
-from .oracle import brute_force_ground
-from .bench import BenchSpec, load_bench_spec, run_batch, summarize
+
+# Names from bench, generators and oracle are imported on first access
+# (PEP 562), so `lqa solve` loads neither those modules nor theirs.
+_LAZY = {
+    "BenchSpec": "bench",
+    "load_bench_spec": "bench",
+    "run_batch": "bench",
+    "summarize": "bench",
+    "gen_random_pm1": "generators",
+    "gen_wishart": "generators",
+    "brute_force_ground": "oracle",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "BenchSpec",

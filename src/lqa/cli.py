@@ -9,15 +9,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import secrets
 import sys
 
 import numpy as np
 
-from . import bench as bench_mod
-from .generators import gen_random_pm1, gen_wishart
+# `solve` needs only these; the other commands import their modules
+# themselves, so start-up stays short
 from .ising import ProblemFormatError, atomic_write, load_instance, save_instance
-from .oracle import brute_force_ground
 from .solver import OPTIMIZERS, SolverConfig, SolverError, solve
 
 EXIT_OK = 0
@@ -82,6 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _pick_seed(seed: int | None) -> int:
     if seed is None:
+        import secrets
+
         seed = secrets.randbits(32)
         print(f"seed: {seed}")
     return seed
@@ -119,6 +119,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from .generators import gen_random_pm1, gen_wishart
+
     seed = _pick_seed(args.seed)
     if args.family == "pm1":
         problem = gen_random_pm1(args.n, seed)
@@ -133,6 +135,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from . import bench as bench_mod
+
     spec = bench_mod.load_bench_spec(args.spec)
     if args.workers is not None:
         spec = dataclasses.replace(spec, workers=args.workers)
@@ -151,6 +155,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import brute_force_ground
+
     problem = load_instance(args.instance)
     e, minimisers = brute_force_ground(problem)
     print(f"ground_energy: {e!r}")

@@ -271,6 +271,10 @@ at 3.6 times J's bytes under tracemalloc."""
 # A first field that fills all 8 bytes may have been truncated.
 _HEAD_BYTES = 8
 _ROW = np.dtype([("head", f"S{_HEAD_BYTES}"), ("j", np.int64), ("val", np.float64)])
+# rows per band of the index parse: its temporaries stay under 1 MiB
+_INDEX_BAND = 1 << 14
+# suffixes np.loadtxt decompresses when it opens a file by name
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def load_instance(path) -> IsingProblem:
@@ -351,28 +355,35 @@ def _load_bulk(path) -> IsingProblem:
     Raises ValueError, without a line number, for any file the line
     parser would reject or might read differently.
     """
-    with open(path, "r", encoding="ascii") as fh:
+    source = os.fspath(path)
+    with open(source, "r", encoding="ascii") as fh:
         text = fh.read()
-        # an S field drops trailing NULs, which int() and float() reject
-        if "\0" in text:
-            raise ValueError("NUL character")
-        fields = _scan_comments(text)
-        del text  # not held while np.loadtxt builds the rows
-        fh.seek(0)
-        with warnings.catch_warnings():
-            # a file without data rows warns; the size check below rejects it
-            warnings.simplefilter("ignore", UserWarning)
-            rows = np.loadtxt(fh, dtype=_ROW, comments="#", ndmin=1)
+    # an S field drops trailing NULs, which int() and float() reject
+    if "\0" in text:
+        raise ValueError("NUL character")
+    fields = _scan_comments(text)
+    del text  # not held while np.loadtxt builds the rows
+    # np.loadtxt reads a str path in C chunks, but walks a handle a line
+    # at a time in Python. Given a name, numpy fetches a URL and
+    # decompresses by suffix, so such names are read through a handle.
+    by_name = (
+        isinstance(source, str)
+        and "://" not in source
+        and not source.endswith(_COMPRESSED_SUFFIXES)
+    )
+    reader = contextlib.nullcontext(source) if by_name else open(source, "r", encoding="ascii")
+    with reader as src, warnings.catch_warnings():
+        # a file without data rows warns; the size check below rejects it
+        warnings.simplefilter("ignore", UserWarning)
+        rows = np.loadtxt(src, dtype=_ROW, comments="#", ndmin=1, encoding="ascii")
     if rows.size == 0:
         raise ValueError("no data rows")
     head, j, val = rows["head"], rows["j"], rows["val"]
-    if np.char.str_len(head).max() >= _HEAD_BYTES:
-        raise ValueError("first field may be truncated")
     if not np.isfinite(val).all():
         raise ValueError("non-finite value")
     is_bias = head == b"b"
     bi, bval = j[is_bias], val[is_bias]
-    ci, cj, cval = head[~is_bias].astype(np.int64), j[~is_bias], val[~is_bias]
+    ci, cj, cval = _parse_index(head[~is_bias]), j[~is_bias], val[~is_bias]
     del rows, head, j, val
     lo, hi = np.minimum(ci, cj), np.maximum(ci, cj)
     if lo.size and (lo.min() < 0 or hi.max() >= MAX_SPINS or np.any(lo == hi)):
@@ -393,6 +404,37 @@ def _load_bulk(path) -> IsingProblem:
     b = np.zeros(n)
     b[bi] = bval
     return IsingProblem(J=J, b=b, **fields)
+
+
+def _parse_index(head: np.ndarray) -> np.ndarray:
+    """Read a contiguous S8 column of plain decimals as int64, a band of
+    rows at a time.
+
+    A plain decimal is an optional `+`, then digits, then NUL padding
+    that fills at least the last byte (a field that fills all 8 bytes may
+    have been truncated); the caller has rejected NUL characters, so a NUL
+    is padding. Anything else, such as `-0`, `1_0`, a lone `+` or `1+`,
+    raises ValueError, which hands the file to the line parser.
+    ``astype(np.int64)`` would call Python's int() on every row.
+    """
+    out = np.zeros(len(head), np.int64)
+    for start in range(0, len(head), _INDEX_BAND):
+        band = head[start : start + _INDEX_BAND].view(np.uint8).reshape(-1, _HEAD_BYTES)
+        cols = np.ascontiguousarray(band.T)  # row c holds byte c of every field
+        digit = cols - np.uint8(ord("0"))  # wraps above 9 for every other byte
+        is_digit = digit < 10
+        is_nul = cols == 0
+        if not (
+            (is_digit[0] | ((cols[0] == ord("+")) & is_digit[1])).all()
+            and (is_digit | is_nul)[1:].all()
+            and is_nul[-1].all()
+        ):
+            raise ValueError("index is not a plain decimal")
+        value = out[start : start + _INDEX_BAND]
+        for c in range(_HEAD_BYTES):  # Horner over the digit bytes
+            np.multiply(value, 10, out=value, where=is_digit[c])
+            np.add(value, digit[c], out=value, where=is_digit[c])
+    return out
 
 
 def _load_lines(path) -> IsingProblem:

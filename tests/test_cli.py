@@ -1,9 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lqa
 from lqa import SolverConfig, brute_force_ground, load_instance
 from lqa.cli import build_parser, main
 
@@ -268,6 +273,35 @@ class TestOracle:
         with pytest.raises(SystemExit) as exc:
             main(["oracle", str(f), "--force"])
         assert exc.value.code == 1
+
+
+class TestStartup:
+    """`lqa solve` imports only ising, solver and cli; the other modules
+    load when a command or an attribute access needs them."""
+
+    def test_cli_import_leaves_other_modules_out(self):
+        code = (
+            "import sys, lqa.cli; "
+            "print([m for m in ('lqa.bench', 'lqa.generators', 'lqa.oracle', "
+            "'concurrent.futures', 'secrets') if m in sys.modules])"
+        )
+        src = str(Path(lqa.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout.strip() == "[]"
+
+    def test_every_exported_name_resolves(self):
+        assert len(lqa.__all__) == 21
+        for name in lqa.__all__:
+            assert getattr(lqa, name).__name__ == name
+        assert not hasattr(lqa, "no_such_name")
+
+    def test_star_import_binds_every_exported_name(self):
+        namespace = {}
+        exec("from lqa import *", namespace)
+        assert sorted(set(namespace) - {"__builtins__"}) == sorted(lqa.__all__)
 
 
 class TestHelp:

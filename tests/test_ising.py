@@ -550,6 +550,21 @@ class TestInstanceFormat:
         with pytest.raises(ProblemFormatError, match=message):
             load_instance(f)
 
+    def test_load_peak_memory_bounded(self, tmp_path):
+        # the rows np.loadtxt returns and the arrays split from them are
+        # alive while J is built; the index column is parsed a band of
+        # rows at a time, not as a whole (which peaked at 5.06 times)
+        save_instance(gen_random_pm1(3, 1), tmp_path / "warm.txt")
+        load_instance(tmp_path / "warm.txt")
+        save_instance(gen_random_pm1(1000, 1), tmp_path / "p.txt")
+        tracemalloc.start()
+        try:
+            p = load_instance(tmp_path / "p.txt")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.6 * p.J.nbytes
+
     def test_save_peak_memory_bounded(self, tmp_path):
         # one row's lines at a time, never the whole file
         save_instance(gen_random_pm1(3, 1), tmp_path / "warm.txt")
@@ -684,6 +699,8 @@ _MALFORMED_ROWS = [
     "0 1 2.0 # inline",
     "0 1 2.0#",
     "0 -1 2.0",
+    "-1 0 1.0",
+    "1+ 2 1.0",
     "b -1 2.0",
     "3 3 1.0",
     "0 1 inf",
@@ -707,9 +724,17 @@ _MALFORMED_ROWS = [
     "# n: three",
     f"# n: {MAX_SPINS + 1}",
 ]
-# Rows the line parser accepts but the bulk pass leaves to it: a first
-# field too long for the bulk row type, and digit separators.
-_FALLBACK_ROWS = ["0000000000000000000005 6 1.0", "0 1_0 1.0", "1_1 0 1.0"]
+# Rows the line parser accepts in forms the well-formed files do not
+# use: a first field too long for the bulk row type, digit separators and
+# a signed zero, which the bulk pass leaves to the line parser, and a
+# plus sign with leading zeros, which it reads itself.
+_FALLBACK_ROWS = [
+    "0000000000000000000005 6 1.0",
+    "0 1_0 1.0",
+    "1_1 0 1.0",
+    "-0 6 1.0",
+    "+007 6 1.0",
+]
 
 
 @st.composite
@@ -758,6 +783,31 @@ class TestBulkParser:
         f = tmp_path_factory.mktemp("any") / "p.txt"
         f.write_bytes(text.encode("ascii"))
         assert _outcome(load_instance, f) == _outcome(_load_lines, f)
+
+    @pytest.mark.parametrize(
+        "text, value", [("0", 0), ("+0", 0), ("+007", 7), ("1234567", 1234567), ("+123456", 123456)]
+    )
+    def test_index_parse_reads_plain_decimals(self, text, value):
+        assert ising._parse_index(np.array([b"5", text.encode()], dtype="S8")).tolist() == [5, value]
+
+    # forms the line parser may accept or reject; the bulk pass leaves them to it
+    @pytest.mark.parametrize("text", ["-0", "-1", "1_0", "+", "1+", "++1", " 1", "0x1", "", "12345678"])
+    def test_index_parse_rejects_other_forms(self, text):
+        with pytest.raises(ValueError, match="not a plain decimal"):
+            ising._parse_index(np.array([b"5", text.encode()], dtype="S8"))
+
+    def test_index_parse_across_bands(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ising, "_INDEX_BAND", 4)
+        p = gen_random_pm1(7, 1)  # 21 couplings: six bands, the last one short
+        save_instance(p, tmp_path / "p.txt")
+        assert np.array_equal(_load_bulk(tmp_path / "p.txt").J, p.J)
+
+    @pytest.mark.parametrize("name", ["p.gz", "p.bz2", "p.xz", "p.lzma"])
+    def test_plain_file_with_a_compressed_suffix(self, tmp_path, name):
+        # np.loadtxt would decompress a file it opened by such a name
+        f = tmp_path / name
+        f.write_text("0 1 1.0\nb 1 0.5\n")
+        assert _outcome(_load_bulk, f) == _outcome(_load_lines, f)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(text=_malformed_file)
