@@ -18,6 +18,10 @@ from lqa import (
     solve,
 )
 from lqa.solver import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    HALF_PI,
     TrialTrace,
     init_weights,
     spin_readout,
@@ -35,6 +39,33 @@ def finite_difference_gradient(p, w, t, gamma, h=1e-5):
         wm[i] -= h
         g[i] = (cost(p, wp, t, gamma) - cost(p, wm, t, gamma)) / (2 * h)
     return g
+
+
+def gradient_reference(p, w, t, gamma):
+    """The gradient as one expression: the in-place gradient must give
+    its bits."""
+    th = np.tanh(w)
+    theta = HALF_PI * th
+    z, x = np.sin(theta), np.cos(theta)
+    return HALF_PI * (t * gamma * 2.0 * (p.J @ z) * x + (1.0 - t) * z) * (1.0 - th * th)
+
+
+def update_adam_reference(w, m1, m2, grad, eta, k):
+    """Adam's step as one expression per line: the in-place update must
+    give its bits."""
+    m1 *= ADAM_BETA1
+    m1 += (1.0 - ADAM_BETA1) * grad
+    m2 *= ADAM_BETA2
+    m2 += (1.0 - ADAM_BETA2) * grad * grad
+    m1_hat = m1 / (1.0 - ADAM_BETA1**k)
+    m2_hat = m2 / (1.0 - ADAM_BETA2**k)
+    w -= eta * m1_hat / (np.sqrt(m2_hat) + ADAM_EPS)
+    return m2_hat
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype == np.float64
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestCost:
@@ -83,6 +114,36 @@ class TestGradient:
                 * (1 - th * th)
             )
             assert g == pytest.approx(expected, rel=1e-12)
+
+
+class TestInPlaceBits:
+    """The in-place gradient and Adam step give the bits of the one-line
+    forms above."""
+
+    @pytest.mark.parametrize("t", [0.0, 1 / 3, 1.0])
+    @pytest.mark.parametrize("gamma", [0.1, 1.0, 3.7])
+    def test_gradient(self, t, gamma, rng):
+        p = random_ising(20, rng)
+        w = rng.normal(scale=3.0, size=20)
+        # tanh(w) is +-1 for |w| >= 20; and both signed zeros
+        w[:6] = [20.0, -20.0, 35.5, -1e3, 0.0, -0.0]
+        w_before = w.copy()
+        g = gradient(p, w, t, gamma)
+        assert_same_bits(g, gradient_reference(p, w, t, gamma))
+        assert_same_bits(w, w_before)
+        assert not np.shares_memory(g, w)
+
+    @pytest.mark.parametrize("eta", [0.3, np.array(0.3)], ids=["float", "0-d"])
+    def test_update_adam(self, eta, rng):
+        w, m1, m2 = rng.normal(size=20), np.zeros(20), np.zeros(20)
+        ref = w.copy(), m1.copy(), m2.copy()
+        for k in range(1, 60):
+            g = rng.normal(size=20, scale=10.0 ** rng.integers(-3, 4))
+            g[:2] = [0.0, -0.0]
+            m2_hat = update_adam(w, m1, m2, g, eta, k)
+            m2_hat_ref = update_adam_reference(*ref, g, 0.3, k)
+            for a, b in zip((w, m1, m2, m2_hat), (*ref, m2_hat_ref)):
+                assert_same_bits(a, b)
 
 
 class TestUpdaters:
@@ -221,6 +282,15 @@ class TestAnneal:
             anneal(IsingProblem(J=J), cfg, np.array([5.0, 5.0, 5.0]))
         what = "Adam second moment" if optimizer == "adam" else "parameters"
         assert (exc.value.reason, exc.value.step) == (f"non-finite {what}", 1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("optimizer", ["vanilla", "momentum"])
+    def test_overflowing_sum_of_finite_parameters_runs(self, optimizer):
+        # at J = 0 and w = 1e308 the gradient is 0, so w stays finite
+        # while its sum overflows: that alone must not end the run
+        cfg = SolverConfig(steps=5, gamma=1.0, optimizer=optimizer)
+        s, _ = anneal(IsingProblem(J=np.zeros((2, 2))), cfg, np.array([1e308, 1e308]))
+        np.testing.assert_array_equal(s, [1.0, 1.0])
 
     @pytest.mark.filterwarnings("error")
     def test_adam_second_moment_overflow_fails(self):
