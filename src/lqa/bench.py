@@ -10,7 +10,6 @@ statistics as CSV.
 from __future__ import annotations
 
 import concurrent.futures
-import copy
 import json
 import time
 import typing
@@ -206,13 +205,13 @@ _worker_batch = None  # set in each pool worker: (spec, problems) of its batch
 
 
 def _init_worker(spec: BenchSpec, problems) -> None:
-    # Each worker anneals on its own copy of the couplings. Workers that
-    # read one fork-inherited J share its cache lines, which made trials
-    # faster by an amount that changed from run to run with the host's
-    # memory load (2-vCPU VM, n=2000: trial time spread 16% across runs,
-    # against 2-4% with private copies).
+    # Workers anneal on the problems they are handed: under fork, the
+    # parent's read-only pages, so a batch holds each J once. A private
+    # copy per worker cost each 34 MiB at n=2000 and made its trials
+    # about 45% slower (two workers on a 2-vCPU VM: median 424-440
+    # against 289-313 ms), the two no longer reading one J.
     global _worker_batch
-    _worker_batch = (spec, copy.deepcopy(problems))
+    _worker_batch = (spec, problems)
 
 
 def _run_pooled_trial(job: tuple[int, int]) -> TrialReport:
@@ -226,8 +225,9 @@ def run_batch(spec: BenchSpec, problems: dict[str, IsingProblem] | None = None) 
     All instances are materialized up front so a bad reference, or a
     biased Max-Cut instance, fails before any trial runs. Failed trials
     (non-finite values) are recorded with failed=True and the batch
-    continues. Pool workers receive the problems once, when they start,
-    and copy them; each job names only an (instance, trial) pair.
+    continues. Pool workers receive the problems once, when they start
+    (under fork they read the parent's); each job names only an
+    (instance, trial) pair.
     """
     if problems is None:
         problems = {inst.id: materialize(inst) for inst in spec.instances}

@@ -80,15 +80,12 @@ def gen_wishart(n: int, alpha: float, seed) -> PlantedInstance:
     t = rng.choice([-1.0, 1.0], size=n)
     W = rng.standard_normal((n, m))
     W -= np.outer(t, t @ W) / n  # columns orthogonal to t
+    # for a contiguous W numpy computes W @ W.T as one triangle (BLAS
+    # syrk) and mirrors it, so J is exactly symmetric; IsingProblem
+    # rejects it if not
     J = W @ W.T
     del W
     J /= n
-    # J = (J + J.T) / 2 kills float asymmetry from the BLAS product; the
-    # sum is commutative, so one tile serves both triangles
-    for rows, cols in _upper_tiles(n):
-        tile = (J[rows, cols] + J[cols, rows].T) / 2.0
-        J[rows, cols] = tile
-        J[cols, rows] = tile.T
     np.fill_diagonal(J, 0.0)
     J.setflags(write=False)  # fresh, so IsingProblem adopts it
     ground = float(t @ (J @ t))

@@ -44,8 +44,9 @@ def _freeze(arr) -> np.ndarray:
 
 
 def _frozen_setstate(self, state: dict) -> None:
-    # pickle and deepcopy (the pool's path) rebuild each array writable
-    # and private to the new problem, so freeze it in place, not copy it
+    # pickle (how spawn and forkserver pool workers receive a problem) and
+    # deepcopy rebuild each array writable and private to the new problem,
+    # so freeze it in place, not copy it
     for name, value in state.items():
         if isinstance(value, np.ndarray):
             value.setflags(write=False)

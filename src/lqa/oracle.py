@@ -23,9 +23,7 @@ def _spin_block(n: int) -> np.ndarray:
     return 2.0 * bits.astype(np.float64) - 1.0
 
 
-def brute_force_ground(
-    p: IsingProblem, max_spins: int = MAX_BRUTE_FORCE_SPINS
-) -> tuple[float, list[np.ndarray]]:
+def brute_force_ground(p: IsingProblem) -> tuple[float, list[np.ndarray]]:
     """Exact minimum of s^T J s + s^T b over all 2^n configurations.
 
     Returns the minimum energy and every minimiser, sorted
@@ -41,8 +39,8 @@ def brute_force_ground(
     not bounded.
     """
     n = p.n
-    if n > max_spins:
-        raise ValueError(f"brute force capped at {max_spins} spins (got {n})")
+    if n > MAX_BRUTE_FORCE_SPINS:
+        raise ValueError(f"brute force capped at {MAX_BRUTE_FORCE_SPINS} spins (got {n})")
     k = n // 2
     m = n - k
     J_aa = p.J[:k, :k]

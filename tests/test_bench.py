@@ -7,6 +7,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
+import lqa.bench
 from lqa import IsingProblem, load_bench_spec, run_batch, summarize
 from lqa.bench import (
     BenchSpec,
@@ -166,6 +167,21 @@ class TestRunBatch:
         pickles = self._count_problem_pickles(monkeypatch)
         run_batch(self._spec(trials=6, workers=2))
         assert len(pickles) <= 2
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork", reason="only fork workers inherit memory"
+    )
+    def test_forked_workers_read_the_parents_couplings(self, monkeypatch):
+        # fork keeps virtual addresses, so a worker reading the parent's J
+        # sees it where the parent does; a copy would live elsewhere
+        def address(spec, problems, inst_idx, trial):
+            return problems[inst_idx][0].J.ctypes.data
+
+        monkeypatch.setattr(lqa.bench, "_run_trial", address)
+        spec = self._mixed_spec(workers=2)
+        problems = {inst.id: materialize(inst) for inst in spec.instances}
+        parent = [problems[inst.id].J.ctypes.data for inst in spec.instances]
+        assert run_batch(spec, problems) == [a for a in parent for _ in range(spec.trials)]
 
     def test_pool_never_larger_than_the_job_count(self, monkeypatch):
         sizes = []

@@ -9,10 +9,16 @@ save_instance writes.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lqa
 from lqa import (
     IsingProblem, SolverConfig, anneal, brute_force_ground, gen_random_pm1, gen_wishart,
     save_instance,
@@ -84,7 +90,9 @@ GOLDEN_PM1 = {
     2000: "d1e2ac7c0a6068dad9e243a8e569acc0172429e490841009045619ab36f839bb",
 }
 
-# (n, alpha) -> sha256 of J, sha256 of planted, ground_energy of gen_wishart(n, alpha, 2)
+# (n, alpha) -> sha256 of J, sha256 of planted, ground_energy of
+# gen_wishart(n, alpha, 2) with one BLAS thread: the last bits of the BLAS
+# product W @ W.T follow the thread count (at n=500, not at n=60)
 GOLDEN_WISHART = {
     (60, 0.8): (
         "14e33d9bd82872a0beb5c9831c80c50b982481052e39703009eecc8ad734a581",
@@ -92,7 +100,7 @@ GOLDEN_WISHART = {
         -46.99879227265736,
     ),
     (500, 0.7): (
-        "ad10761c380d8627ed63064bf347e1c16de82a61becc319ada016eac8996fdc3",
+        "207325cb10c55b166f62618d023213164056d909b91a7cc67fbfda1d424b2453",
         "0f6d6054d69757f8d9f2d21b6d163448123309222b042e649c5cc063d7bb0ea7",
         -349.51858333328437,
     ),
@@ -104,13 +112,41 @@ def test_random_pm1_matches_golden_bytes(n):
     assert _sha256(gen_random_pm1(n, 1).J) == GOLDEN_PM1[n]
 
 
+# every BLAS/OpenMP thread variable; each must be set before numpy loads
+BLAS_THREAD_VARS = (
+    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+)
+
+
+@pytest.fixture(scope="module")
+def wishart_one_thread():
+    """(n, alpha) -> the GOLDEN_WISHART fields of gen_wishart(n, alpha, 2),
+    generated in a subprocess that runs BLAS on one thread."""
+    code = (
+        "import hashlib, json, sys\n"
+        "from lqa import gen_wishart\n"
+        "sha = lambda a: hashlib.sha256(a.tobytes()).hexdigest()\n"
+        "out = []\n"
+        "for n, alpha in json.loads(sys.argv[1]):\n"
+        "    inst = gen_wishart(n, alpha, 2)\n"
+        "    out.append([sha(inst.problem.J), sha(inst.planted), repr(inst.problem.ground_energy)])\n"
+        "print(json.dumps(out))\n"
+    )
+    cases = sorted(GOLDEN_WISHART)
+    src = str(Path(lqa.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, **{var: "1" for var in BLAS_THREAD_VARS}}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(cases)],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    return dict(zip(cases, json.loads(proc.stdout)))
+
+
 @pytest.mark.parametrize("n, alpha", sorted(GOLDEN_WISHART))
-def test_wishart_matches_golden_bytes(n, alpha):
+def test_wishart_matches_golden_bytes(n, alpha, wishart_one_thread):
     J_hash, planted_hash, ground = GOLDEN_WISHART[(n, alpha)]
-    inst = gen_wishart(n, alpha, 2)
-    assert _sha256(inst.problem.J) == J_hash
-    assert _sha256(inst.planted) == planted_hash
-    assert repr(inst.problem.ground_energy) == repr(ground)
+    assert wishart_one_thread[(n, alpha)] == [J_hash, planted_hash, repr(ground)]
 
 
 # (kind, n, seed) -> repr of the ground energy, minimiser count, sha256 of np.stack(minimisers)
