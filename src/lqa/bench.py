@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import math
 import time
 import typing
 from dataclasses import dataclass, fields, replace
@@ -42,6 +43,10 @@ class InstanceSpec:
         if self.file is None and any(getattr(self, k) is None for k in needs):
             names = " and ".join(needs)
             raise ValueError(f"instance {self.id!r}: generator {self.generator!r} needs {names}")
+        if self.alpha is not None and not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"instance {self.id!r}: alpha must be > 0 and finite")
+        if self.gen_seed < 0:
+            raise ValueError(f"instance {self.id!r}: gen_seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -269,16 +274,11 @@ def summarize(reports: list[TrialReport]) -> list[InstanceSummary]:
     """
     if not reports:
         raise ValueError("no reports to summarize")
-    order: list[str] = []
-    grouped: dict[str, list[TrialReport]] = {}
+    grouped: dict[str, list[TrialReport]] = {}  # in first-seen order
     for r in reports:
-        if r.instance not in grouped:
-            grouped[r.instance] = []
-            order.append(r.instance)
-        grouped[r.instance].append(r)
+        grouped.setdefault(r.instance, []).append(r)
     out = []
-    for inst_id in order:
-        group = grouped[inst_id]
+    for inst_id, group in grouped.items():
         ok = [r for r in group if not r.failed]
         if not ok:
             raise ValueError(f"instance {inst_id!r}: every trial failed")

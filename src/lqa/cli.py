@@ -15,7 +15,7 @@ import numpy as np
 
 # `solve` needs only these; the other commands import their modules
 # themselves, so start-up stays short
-from .ising import ProblemFormatError, atomic_write, load_instance, save_instance
+from .ising import MAX_SPINS, ProblemFormatError, atomic_write, load_instance, save_instance
 from .solver import OPTIMIZERS, SolverConfig, SolverError, solve
 
 EXIT_OK = 0
@@ -84,6 +84,8 @@ def _pick_seed(seed: int | None) -> int:
 
         seed = secrets.randbits(32)
         print(f"seed: {seed}")
+    elif seed < 0:
+        raise ValueError("seed must be >= 0")
     return seed
 
 
@@ -121,6 +123,9 @@ def _cmd_solve(args) -> int:
 def _cmd_generate(args) -> int:
     from .generators import gen_random_pm1, gen_wishart
 
+    # the loader's cap: a larger problem makes a file lqa cannot read
+    if args.n > MAX_SPINS:
+        raise ValueError(f"n {args.n} is above the cap of {MAX_SPINS} spins")
     seed = _pick_seed(args.seed)
     if args.family == "pm1":
         problem = gen_random_pm1(args.n, seed)

@@ -8,6 +8,7 @@ controlled by the aspect ratio alpha = m / n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,8 +72,9 @@ def gen_wishart(n: int, alpha: float, seed) -> PlantedInstance:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
+    # False for nan, and round(inf * n) would raise OverflowError
+    if not 0.0 < alpha < math.inf:
+        raise ValueError("alpha must be > 0 and finite")
     m = round(alpha * n)
     if m < 1:
         raise ValueError(f"alpha * n rounds to {m} columns; need at least 1")

@@ -23,11 +23,11 @@ def _spin_block(n: int) -> np.ndarray:
     return 2.0 * bits.astype(np.float64) - 1.0
 
 
-def brute_force_ground(p: IsingProblem) -> tuple[float, list[np.ndarray]]:
+def brute_force_ground(p: IsingProblem) -> tuple[float, np.ndarray]:
     """Exact minimum of s^T J s + s^T b over all 2^n configurations.
 
-    Returns the minimum energy and every minimiser, sorted
-    lexicographically. Enumeration is split as s = (s_A, s_B) so the
+    Returns the minimum energy and a (count, n) array of every minimiser,
+    sorted lexicographically. Enumeration is split as s = (s_A, s_B) so the
     energies of a block of s_A rows against every s_B come from one
     dense matrix product; far faster in numpy than per-config Gray-code
     updates at these sizes. Without a bias every term is a product of
@@ -35,7 +35,7 @@ def brute_force_ground(p: IsingProblem) -> tuple[float, list[np.ndarray]]:
     +1, only 2^(n-1) energies are enumerated, and each minimiser's
     negation is added. Blocks hold BLOCK_ENTRIES energies, so working
     memory stays near 1 MiB plus the 2^(n - n//2) half-tables at any n;
-    the cap bounds the 2^n run time, and the minimiser list itself is
+    the cap bounds the 2^n run time, and the minimiser array itself is
     not bounded.
     """
     n = p.n
@@ -63,7 +63,8 @@ def brute_force_ground(p: IsingProblem) -> tuple[float, list[np.ndarray]]:
     X = np.empty((rows, width))
     E = np.empty((rows, width))
     best = np.inf
-    minimisers: list[np.ndarray] = []
+    # the result stays (0, n) if overflow makes every block minimum nan
+    pieces = [np.empty((0, n))]
     for start in range(0, 2**k, rows):
         # E = (eA + eB) + 2 (SA @ cross_T) in place, the 2 folded into
         # cross_T once: doubling is exact, so the product keeps its bits,
@@ -71,19 +72,18 @@ def brute_force_ground(p: IsingProblem) -> tuple[float, list[np.ndarray]]:
         np.matmul(SA[start : start + rows], cross_T, out=X)
         np.add(eA[start : start + rows, None], eB[None, :], out=E)
         E += X
-        row_min = E.min(axis=1)
-        blk_min = row_min.min()
+        blk_min = E.min()
         if blk_min < best:
             best = blk_min
-            minimisers = []
-        if blk_min <= best:
-            for r in np.flatnonzero(row_min == best):
-                for c in np.flatnonzero(E[r] == best):
-                    minimisers.append(np.concatenate([SA[start + r], SB[c]]))
+            pieces = []
+        if blk_min == best:
+            r, c = divmod(np.flatnonzero(E == best), width)
+            pieces.append(np.hstack([SA[start + r], SB[c]]))
+    mins = np.concatenate(pieces)
     if symmetric:
-        minimisers += [-s for s in minimisers]
-    minimisers.sort(key=lambda s: tuple(s))
-    return float(best), minimisers
+        mins = np.concatenate([mins, -mins])
+    # lexsort's last key is the primary one: sort by spin 0 first
+    return float(best), mins[np.lexsort(mins.T[::-1])]
 
 
 def single_flip_stable(p: IsingProblem, s, tol: float = 1e-9) -> bool:

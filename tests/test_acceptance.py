@@ -11,11 +11,9 @@ import numpy as np
 import pytest
 
 from lqa import (
-    IsingProblem,
     SolverConfig,
     anneal,
     brute_force_ground,
-    cost,
     cut_value,
     gen_random_pm1,
     gen_wishart,
@@ -28,27 +26,7 @@ from lqa.bench import BenchSpec, InstanceSpec
 from lqa.ising import graph_total_weight
 from lqa.solver import init_weights
 from lqa.cli import main as cli_main
-from conftest import random_ising
-
-
-def central_fd(p, w, t, gamma, h=1e-5):
-    g = np.zeros_like(w)
-    for i in range(len(w)):
-        wp, wm = w.copy(), w.copy()
-        wp[i] += h
-        wm[i] -= h
-        g[i] = (cost(p, wp, t, gamma) - cost(p, wm, t, gamma)) / (2 * h)
-    return g
-
-
-def fig1_problem(seed, n=20):
-    rng = np.random.default_rng(seed)
-    J = np.zeros((n, n))
-    iu = np.triu_indices(n, k=1)
-    vals = rng.uniform(-1.0, 1.0, len(iu[0]))
-    J[iu] = vals
-    J.T[iu] = vals
-    return IsingProblem(J=J)
+from conftest import finite_difference_gradient, random_ising
 
 
 def test_criterion_1_gradient_oracle():
@@ -62,7 +40,7 @@ def test_criterion_1_gradient_oracle():
             t = rng.uniform(0.0, 1.0)
             gamma = rng.uniform(0.1, 2.0)
             g = gradient(p, w, t, gamma)
-            fd = central_fd(p, w, t, gamma)
+            fd = finite_difference_gradient(p, w, t, gamma)
             rel = np.linalg.norm(g - fd) / np.linalg.norm(g)
             assert rel < 1e-5, f"n={n}: relative error {rel}"
     print("ACCEPTANCE 1 (gradient oracle): PASS")
@@ -76,7 +54,7 @@ def test_criterion_2_exactness_small_instances():
     )
     solved = 0
     for inst_seed in range(50):
-        p = fig1_problem(inst_seed)
+        p = random_ising(20, np.random.default_rng(inst_seed))
         e0, _ = brute_force_ground(p)
         tol = 1e-9 * np.abs(p.J).sum()
         for restart in range(20):
@@ -92,7 +70,7 @@ def test_criterion_2_exactness_small_instances():
 def test_criterion_3_saddle_behaviour():
     """From w0 = 0 vanilla descent never moves; from a small random
     init, momentum reaches a lower mean final cost than no momentum."""
-    p = fig1_problem(0)
+    p = random_ising(20, np.random.default_rng(0))
     n = p.n
     # zero displacement: the traced cost stays on the w = 0 curve
     cfg0 = SolverConfig(

@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import functools
 import json
+import math
 import multiprocessing
 
 import numpy as np
@@ -309,12 +310,19 @@ class TestSpecFile:
             ({"seed": -1}, "seed must be >= 0"),
             ({"workers": -3}, "workers must be >= 1"),
             ({"workers": 0}, "workers must be >= 1"),
+            ({"instances": [{"id": "a", "generator": "pm1", "n": 4, "gen_seed": -1}]},
+             "instance 'a': gen_seed must be >= 0"),
+            ({"instances": [{"id": "w", "generator": "wishart", "n": 4, "alpha": math.inf}]},
+             "instance 'w': alpha must be > 0 and finite"),
+            ({"instances": [{"id": "w", "generator": "wishart", "n": 4, "alpha": math.nan}]},
+             "instance 'w': alpha must be > 0 and finite"),
         ],
         ids=[
             "unknown-key", "unknown-instance-key", "missing-id", "instances-not-list",
             "string-for-int", "bool-for-int", "wishart-without-alpha", "duplicate-id",
             "bad-optimizer", "bad-momentum", "bad-instance-step-size",
             "negative-seed", "negative-workers", "zero-workers",
+            "negative-gen-seed", "infinite-alpha", "nan-alpha",
         ],
     )
     def test_bad_spec_rejected(self, tmp_path, edit, message):

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import lqa
+import lqa.generators
 from lqa import SolverConfig, brute_force_ground, load_instance
 from lqa.cli import build_parser, main
+from lqa.ising import MAX_SPINS
 
 
 def run_cli(capsys, *argv):
@@ -81,6 +83,12 @@ class TestSolve:
         assert out_dir.is_dir() and not list(out_dir.iterdir())
         assert sorted(p.name for p in tmp_path.iterdir()) == ["afm.txt", "out"]
 
+    def test_negative_seed_exits_one(self, capsys, ferro_file):
+        code, out, err = run_cli(capsys, "solve", ferro_file, "--seed", "-1")
+        assert code == 1
+        assert err == "lqa: error: seed must be >= 0\n"
+        assert out == ""
+
     def test_omitted_seed_is_printed(self, capsys, ferro_file):
         code, out, _ = run_cli(capsys, "solve", ferro_file, "--steps", "10")
         assert code == 0
@@ -147,13 +155,28 @@ class TestGenerate:
         ]
         assert len(coupling_lines) == 40 * 39 // 2
 
-    def test_bad_n_rejected_before_writing(self, capsys, tmp_path):
+    def test_bad_n_rejected_before_writing(self, capsys, tmp_path, monkeypatch):
+        real = lqa.generators.gen_random_pm1
+
+        def capped(n, seed):
+            # a problem above the cap would take gigabytes; never build one
+            assert n <= MAX_SPINS, f"generated a problem with n = {n}"
+            return real(n, seed)
+
+        monkeypatch.setattr(lqa.generators, "gen_random_pm1", capped)
         out_path = tmp_path / "x.txt"
-        code, _, _ = run_cli(
-            capsys, "generate", "pm1", "--n", "0", "--seed", "1", "--out", str(out_path)
-        )
-        assert code == 1
-        assert not out_path.exists()
+        for argv, message in [
+            (["pm1", "--n", "0", "--seed", "1"], "n must be >= 2"),
+            (["wishart", "--n", "10", "--alpha", "inf", "--seed", "1"],
+             "alpha must be > 0 and finite"),
+            (["wishart", "--n", "10", "--alpha", "nan", "--seed", "1"],
+             "alpha must be > 0 and finite"),
+            (["pm1", "--n", "10", "--seed", "-1"], "seed must be >= 0"),
+            (["pm1", "--n", "16385", "--seed", "1"], "n 16385 is above the cap of 16384 spins"),
+        ]:
+            code, _, err = run_cli(capsys, "generate", *argv, "--out", str(out_path))
+            assert (code, err) == (1, f"lqa: error: {message}\n"), argv
+            assert not out_path.exists()
 
 
 class TestBench:

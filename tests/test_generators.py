@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -121,8 +122,9 @@ class TestWishart:
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             gen_wishart(1, 1.0, 0)
-        with pytest.raises(ValueError):
-            gen_wishart(10, -1.0, 0)
+        for alpha in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="^alpha must be > 0 and finite$"):
+                gen_wishart(10, alpha, 0)
 
     def test_oracle_verified_over_seeds(self):
         # compact version of the generator-soundness sweep (the full

@@ -112,6 +112,29 @@ class TestBruteForce:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
 
+    def test_peak_memory_near_result_when_degenerate(self):
+        # all 2^16 configurations tie, so the result dominates: joining,
+        # negating and sorting it peaks at about 2.7 times its size
+        p = IsingProblem(J=np.zeros((16, 16)))
+        tracemalloc.start()
+        try:
+            _, mins = brute_force_ground(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mins.shape == (2**16, 16)
+        assert peak <= 3 * mins.nbytes
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowed_energies_give_no_minimiser(self):
+        # inf + -inf makes every energy block's minimum nan
+        J = np.zeros((4, 4))
+        J[0, 1] = J[1, 0] = 1e308
+        J[2, 3] = J[3, 2] = -1e308
+        e, mins = brute_force_ground(IsingProblem(J=J))
+        assert e == np.inf
+        assert mins.shape == (0, 4)
+
     def test_lower_bounds_any_solver_output(self, rng):
         from lqa import SolverConfig, anneal
         from lqa.solver import init_weights

@@ -28,17 +28,7 @@ from lqa.solver import (
     update_adam,
     update_momentum,
 )
-from conftest import random_ising, random_symmetric
-
-
-def finite_difference_gradient(p, w, t, gamma, h=1e-5):
-    g = np.zeros_like(w)
-    for i in range(len(w)):
-        wp, wm = w.copy(), w.copy()
-        wp[i] += h
-        wm[i] -= h
-        g[i] = (cost(p, wp, t, gamma) - cost(p, wm, t, gamma)) / (2 * h)
-    return g
+from conftest import finite_difference_gradient, random_ising, random_symmetric
 
 
 def gradient_reference(p, w, t, gamma):
