@@ -19,6 +19,7 @@ from lqa.bench import (
     trial_seed,
     write_reports_csv,
     write_summary_csv,
+    write_trace_csv,
 )
 from lqa.solver import SolverConfig, TrialTrace
 
@@ -358,6 +359,15 @@ class TestCsvOutput:
         lines = path.read_text().splitlines()
         assert lines[0] == "instance,trials,failures,metric,mean,std,min,max"
         assert lines[1] == "a,1,0,relative_error,0.5,0.0,0.5,0.5"
+
+    def test_trace_csv(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace_csv([(5, 3.5, 3.0, 4.0), (10, 0.1 + 0.2, -1e-300, 2.0)], path)
+        assert path.read_text() == (
+            "step,best_energy_mean,best_energy_min,best_energy_max\n"
+            "5,3.5,3.0,4.0\n"
+            "10,0.30000000000000004,-1e-300,2.0\n"
+        )
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "out.csv"

@@ -11,6 +11,7 @@ import pytest
 import lqa
 import lqa.generators
 from lqa import SolverConfig, brute_force_ground, load_instance
+from lqa.bench import aggregate_traces
 from lqa.cli import build_parser, main
 from lqa.ising import MAX_SPINS
 
@@ -104,6 +105,20 @@ class TestSolve:
         lines = trace.read_text().splitlines()
         assert lines[0] == "step,t,cost,energy"
         assert len(lines) == 5  # steps 5,10,15,20 at stride 5
+
+    def test_trace_csv_holds_the_solver_trace(self, capsys, tmp_path, biased_file):
+        trace = tmp_path / "trace.csv"
+        code, _, _ = run_cli(
+            capsys, "solve", biased_file, "--steps", "20", "--seed", "3",
+            "--trace", str(trace), "--trace-stride", "3",
+        )
+        assert code == 0
+        result = lqa.solve(load_instance(biased_file), SolverConfig(steps=20, seed=3, trace_stride=3))
+        tr = result.trace
+        assert tr.steps == [3, 6, 9, 12, 15, 18, 20]
+        rows = zip(tr.steps, tr.ts, tr.costs, tr.energies)
+        expected = "step,t,cost,energy\n" + "".join(f"{s},{t!r},{c!r},{e!r}\n" for s, t, c, e in rows)
+        assert trace.read_text() == expected
 
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -205,6 +220,27 @@ class TestBench:
         lines = (tmp_path / "run_trials.csv").read_text().splitlines()
         assert len(lines) == 2
         assert (tmp_path / "run_summary.csv").exists()
+
+    def test_trace_stride_writes_one_envelope_per_instance(self, capsys, tmp_path):
+        instances = [
+            {"id": "w", "generator": "wishart", "n": 10, "alpha": 1.0},
+            {"id": "p", "generator": "pm1", "n": 8, "maxcut": True},
+        ]
+        spec = self._spec_file(tmp_path, trials=2, trace_stride=30, instances=instances)
+        code, _, _ = run_cli(capsys, "bench", spec, "--output-prefix", str(tmp_path / "run"))
+        assert code == 0
+        names = {p.name for p in tmp_path.iterdir()}
+        assert names == {
+            "spec.json", "run_trials.csv", "run_summary.csv", "run_w_trace.csv", "run_p_trace.csv"
+        }
+        reports = lqa.run_batch(lqa.load_bench_spec(spec))
+        for inst in ("w", "p"):
+            rows = aggregate_traces([r.trace for r in reports if r.instance == inst])
+            assert [step for step, *_ in rows] == [30, 60, 90, 100]
+            expected = "step,best_energy_mean,best_energy_min,best_energy_max\n" + "".join(
+                f"{step},{mean!r},{lo!r},{hi!r}\n" for step, mean, lo, hi in rows
+            )
+            assert (tmp_path / f"run_{inst}_trace.csv").read_text() == expected
 
     def test_bad_spec_fails_before_output(self, capsys, tmp_path):
         spec = self._spec_file(tmp_path, version=42)

@@ -206,6 +206,13 @@ class TestUpdaters:
 
 
 class TestTrialTrace:
+    def test_write_csv(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        TrialTrace([5, 10], [0.5, 1.0], [0.1 + 0.2, -2.0], [-3.0, 1e-20]).write_csv(path)
+        assert path.read_text() == (
+            "step,t,cost,energy\n5,0.5,0.30000000000000004,-3.0\n10,1.0,-2.0,1e-20\n"
+        )
+
     def test_failed_write_csv_keeps_previous_file(self, tmp_path):
         path = tmp_path / "trace.csv"
         TrialTrace([1, 2], [0.5, 1.0], [-1.0, -2.0], [-3.0, -4.0]).write_csv(path)
