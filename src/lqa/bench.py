@@ -14,12 +14,12 @@ import json
 import math
 import time
 import typing
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
 from .generators import gen_random_pm1, gen_wishart
-from .ising import IsingProblem, atomic_write, graph_total_weight, load_instance
+from .ising import MAX_SPINS, IsingProblem, graph_total_weight, load_instance, write_csv
 from .solver import SolverConfig, SolverError, TrialTrace, solve
 
 SPEC_VERSION = 1
@@ -43,6 +43,12 @@ class InstanceSpec:
         if self.file is None and any(getattr(self, k) is None for k in needs):
             names = " and ".join(needs)
             raise ValueError(f"instance {self.id!r}: generator {self.generator!r} needs {names}")
+        if self.n is not None and self.n < 2:
+            raise ValueError(f"instance {self.id!r}: n must be >= 2")
+        if self.n is not None and self.n > MAX_SPINS:
+            raise ValueError(
+                f"instance {self.id!r}: n {self.n} is above the cap of {MAX_SPINS} spins"
+            )
         if self.alpha is not None and not 0.0 < self.alpha < math.inf:
             raise ValueError(f"instance {self.id!r}: alpha must be > 0 and finite")
         if self.gen_seed < 0:
@@ -324,37 +330,23 @@ def aggregate_traces(traces: list[TrialTrace]) -> list[tuple[int, float, float, 
     ]
 
 
-def _fmt(v) -> str:
-    return "" if v is None else repr(v)
-
-
 def write_reports_csv(reports: list[TrialReport], path) -> None:
-    """Per-trial CSV:
-    instance,trial,steps,final_energy,relative_error,cut,wall_ms,failed,reason,step.
-    ``reason`` and ``step`` say why and at which anneal step a failed
-    trial stopped; both are empty for a trial that did not fail."""
-    lines = ["instance,trial,steps,final_energy,relative_error,cut,wall_ms,failed,reason,step"]
-    for r in reports:
-        lines.append(
-            f"{r.instance},{r.trial},{r.steps},{_fmt(r.final_energy)},"
-            f"{_fmt(r.relative_error)},{_fmt(r.cut)},{r.wall_ms:.3f},{int(r.failed)},"
-            f"{r.reason or ''},{_fmt(r.step)}"
-        )
-    atomic_write(path, "\n".join(lines) + "\n")
+    """Per-trial CSV, one line per report. ``reason`` and ``step`` say why
+    and at which anneal step a failed trial stopped; both are empty for a
+    trial that did not fail."""
+    rows = [
+        (r.instance, r.trial, r.steps, r.final_energy, r.relative_error, r.cut,
+         f"{r.wall_ms:.3f}", int(r.failed), r.reason, r.step)
+        for r in reports
+    ]
+    header = "instance,trial,steps,final_energy,relative_error,cut,wall_ms,failed,reason,step"
+    write_csv(path, header, rows)
 
 
 def write_summary_csv(summaries: list[InstanceSummary], path) -> None:
-    lines = ["instance,trials,failures,metric,mean,std,min,max"]
-    for s in summaries:
-        lines.append(
-            f"{s.instance},{s.trials},{s.failures},{s.metric},"
-            f"{s.mean!r},{s.std!r},{s.min!r},{s.max!r}"
-        )
-    atomic_write(path, "\n".join(lines) + "\n")
+    header = ",".join(f.name for f in fields(InstanceSummary))
+    write_csv(path, header, map(astuple, summaries))
 
 
 def write_trace_csv(rows: list[tuple[int, float, float, float]], path) -> None:
-    lines = ["step,best_energy_mean,best_energy_min,best_energy_max"]
-    for step, mean, lo, hi in rows:
-        lines.append(f"{step},{mean!r},{lo!r},{hi!r}")
-    atomic_write(path, "\n".join(lines) + "\n")
+    write_csv(path, "step,best_energy_mean,best_energy_min,best_energy_max", rows)

@@ -94,6 +94,8 @@ def _spin_string(s: np.ndarray) -> str:
 
 
 def _cmd_solve(args) -> int:
+    if args.trace and args.trace_stride < 1:
+        raise ValueError("--trace-stride must be >= 1")
     problem = load_instance(args.instance)
     seed = _pick_seed(args.seed)
     cfg = SolverConfig(
@@ -115,7 +117,7 @@ def _cmd_solve(args) -> int:
     print(text)
     if args.output:
         atomic_write(args.output, text + "\n")
-    if args.trace and result.trace is not None:
+    if args.trace:
         result.trace.write_csv(args.trace)
     return EXIT_OK
 

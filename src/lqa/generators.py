@@ -90,6 +90,5 @@ def gen_wishart(n: int, alpha: float, seed) -> PlantedInstance:
     J /= n
     np.fill_diagonal(J, 0.0)
     J.setflags(write=False)  # fresh, so IsingProblem adopts it
-    ground = float(t @ (J @ t))
-    problem = IsingProblem(J=J, ground_energy=ground)
+    problem = IsingProblem(J=J, ground_energy=t @ (J @ t))
     return PlantedInstance(problem=problem, planted=t)

@@ -150,6 +150,10 @@ class IsingProblem:
             raise ProblemFormatError(f"non-finite ground_energy {self.ground_energy!r}")
         if not math.isfinite(self.offset):
             raise ProblemFormatError(f"non-finite offset {self.offset!r}")
+        # Python floats: numpy 2 writes a numpy scalar's repr as np.float64(...)
+        if self.ground_energy is not None:
+            object.__setattr__(self, "ground_energy", float(self.ground_energy))
+        object.__setattr__(self, "offset", float(self.offset))
         object.__setattr__(self, "J", J)
         object.__setattr__(self, "b", _freeze(b))
         # b is frozen, so scan it once here rather than on every solver step
@@ -184,8 +188,7 @@ def qubo_to_ising(q: QuboProblem) -> IsingProblem:
     J = q.Q / 4.0
     J.setflags(write=False)  # fresh, so IsingProblem adopts it
     b = (q.a + q.Q @ np.ones(q.n)) / 2.0
-    offset = float(q.Q.sum() / 4.0 + q.a.sum() / 2.0)
-    return IsingProblem(J=J, b=b, offset=offset)
+    return IsingProblem(J=J, b=b, offset=q.Q.sum() / 4.0 + q.a.sum() / 2.0)
 
 
 def absorb_bias(p: IsingProblem) -> IsingProblem:
@@ -550,6 +553,13 @@ def atomic_write(path, text: str) -> None:
         fh.write(text)
 
 
+def write_csv(path, header: str, rows) -> None:
+    """Write a CSV through :func:`atomic_write`: the header line, then
+    one line per row, each field as ``str(value)`` and None as empty."""
+    lines = [header] + [",".join("" if v is None else str(v) for v in row) for row in rows]
+    atomic_write(path, "\n".join(lines) + "\n")
+
+
 def save_instance(p: IsingProblem, path, header_comments=()) -> None:
     """Write an Ising problem in the text coupling format.
 
@@ -564,7 +574,7 @@ def save_instance(p: IsingProblem, path, header_comments=()) -> None:
     if p.ground_energy is not None:
         head.append(f"# ground_energy: {p.ground_energy!r}\n")
     if p.offset != 0.0:
-        head.append(f"# offset: {float(p.offset)!r}\n")
+        head.append(f"# offset: {p.offset!r}\n")
     if not (p.J[-1:].any() or p.b[-1:].any()):
         head.append(f"# n: {p.n}\n")
     with atomic_open(path) as fh:

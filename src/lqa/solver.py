@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ising import IsingProblem, absorb_bias, atomic_write, normalize_ancilla, objective
+from .ising import IsingProblem, absorb_bias, normalize_ancilla, objective, write_csv
 
 HALF_PI = math.pi / 2.0
 
@@ -206,8 +206,7 @@ class TrialTrace:
         self.energies.append(e)
 
     def write_csv(self, path) -> None:
-        rows = zip(self.steps, self.ts, self.costs, self.energies)
-        atomic_write(path, "step,t,cost,energy\n" + "".join("%d,%r,%r,%r\n" % r for r in rows))
+        write_csv(path, "step,t,cost,energy", zip(self.steps, self.ts, self.costs, self.energies))
 
 
 def init_weights(n: int, init_scale: float, seed) -> np.ndarray:

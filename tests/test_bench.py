@@ -317,13 +317,17 @@ class TestSpecFile:
              "instance 'w': alpha must be > 0 and finite"),
             ({"instances": [{"id": "w", "generator": "wishart", "n": 4, "alpha": math.nan}]},
              "instance 'w': alpha must be > 0 and finite"),
+            ({"instances": [{"id": "a", "generator": "pm1", "n": 1}]},
+             "instance 'a': n must be >= 2"),
+            ({"instances": [{"id": "a", "generator": "pm1", "n": 20000}]},
+             "instance 'a': n 20000 is above the cap of 16384 spins"),
         ],
         ids=[
             "unknown-key", "unknown-instance-key", "missing-id", "instances-not-list",
             "string-for-int", "bool-for-int", "wishart-without-alpha", "duplicate-id",
             "bad-optimizer", "bad-momentum", "bad-instance-step-size",
             "negative-seed", "negative-workers", "zero-workers",
-            "negative-gen-seed", "infinite-alpha", "nan-alpha",
+            "negative-gen-seed", "infinite-alpha", "nan-alpha", "n-below-two", "n-above-cap",
         ],
     )
     def test_bad_spec_rejected(self, tmp_path, edit, message):

@@ -106,6 +106,17 @@ class TestSolve:
         assert lines[0] == "step,t,cost,energy"
         assert len(lines) == 5  # steps 5,10,15,20 at stride 5
 
+    @pytest.mark.parametrize("stride", ["0", "-1"])
+    def test_trace_stride_below_one_exits_one(self, capsys, tmp_path, ferro_file, stride):
+        trace = tmp_path / "trace.csv"
+        code, out, err = run_cli(
+            capsys, "solve", ferro_file, "--seed", "1", "--trace", str(trace), "--trace-stride", stride
+        )
+        assert code == 1
+        assert err == "lqa: error: --trace-stride must be >= 1\n"
+        assert out == ""
+        assert not trace.exists()
+
     def test_trace_csv_holds_the_solver_trace(self, capsys, tmp_path, biased_file):
         trace = tmp_path / "trace.csv"
         code, _, _ = run_cli(

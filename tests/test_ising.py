@@ -520,6 +520,16 @@ class TestInstanceFormat:
         save_instance(back, f2)
         assert f.read_bytes() == f2.read_bytes()
 
+    def test_numpy_scalar_fields_round_trip(self, tmp_path):
+        J = np.array([[0.0, 1.0], [1.0, 0.0]])
+        p = IsingProblem(J=J, offset=np.float64(0.5), ground_energy=np.float64(-2.0))
+        assert type(p.offset) is float and type(p.ground_energy) is float
+        f = tmp_path / "p.txt"
+        save_instance(p, f)
+        assert f.read_text() == "# ground_energy: -2.0\n# offset: 0.5\n0 1 1.0\n"
+        back = load_instance(f)
+        assert (back.offset, back.ground_energy) == (0.5, -2.0)
+
     def test_isolated_last_spin_round_trip(self, tmp_path):
         J = np.zeros((4, 4))
         J[0, 1] = J[1, 0] = 1.0

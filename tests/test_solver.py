@@ -218,9 +218,9 @@ class TestTrialTrace:
         TrialTrace([1, 2], [0.5, 1.0], [-1.0, -2.0], [-3.0, -4.0]).write_csv(path)
         before = path.read_text()
         assert before.count("\n") == 3
-        # the second row's step is not an integer, so formatting it raises
-        with pytest.raises(TypeError):
-            TrialTrace([1, None], [0.5, 1.0], [-1.0, -2.0], [-3.0, -4.0]).write_csv(path)
+        # the second row's field is not ASCII, so writing it raises
+        with pytest.raises(UnicodeEncodeError):
+            TrialTrace([1, "\u00e9"], [0.5, 1.0], [-1.0, -2.0], [-3.0, -4.0]).write_csv(path)
         assert path.read_text() == before
         assert list(tmp_path.iterdir()) == [path]
 
