@@ -44,13 +44,29 @@ class TestProblemInvariants:
         with pytest.raises(ProblemFormatError, match="symmetric"):
             QuboProblem(Q=Q, a=np.zeros(2))
 
-    @pytest.mark.parametrize("i, j", [(10, 290), (290, 10), (0, 299), (257, 299)])
-    def test_rejects_one_asymmetric_entry_past_the_first_tile(self, rng, i, j):
+    @pytest.mark.parametrize(
+        "i, j, diagonal, name",
+        [
+            (10, 290, 0.0, "J"),
+            (290, 10, 0.0, "J"),
+            (0, 299, 0.0, "J"),
+            (257, 299, 0.0, "J"),
+            # an asymmetric pair wins over a nonzero diagonal
+            (10, 290, 1.0, "J"),
+            (290, 10, 1.0, "Q"),
+        ],
+        ids=["10-290", "290-10", "0-299", "257-299", "and-diagonal", "Q-and-diagonal"],
+    )
+    def test_rejects_one_asymmetric_entry_past_the_first_tile(self, rng, i, j, diagonal, name):
         # n = 300 spans two 256-wide tiles; (257, 299) lies in the last diagonal one
         J = random_symmetric(300, rng)
         J[i, j] += 1.0
-        with pytest.raises(ProblemFormatError, match="J must be symmetric"):
-            IsingProblem(J=J)
+        J[299, 299] = diagonal
+        with pytest.raises(ProblemFormatError, match=f"^{name} must be symmetric"):
+            if name == "Q":
+                QuboProblem(Q=J, a=np.zeros(300))
+            else:
+                IsingProblem(J=J)
 
     def test_accepts_symmetric_matrix_spanning_several_tiles(self, rng):
         J = random_symmetric(600, rng)
@@ -102,8 +118,20 @@ class TestProblemInvariants:
             # n = 300: the entries lie in the second 256-row band
             lambda v: IsingProblem(J=np.pad([[0.0, v], [v, 0.0]], (298, 0))),
             lambda v: IsingProblem(J=np.zeros((300, 300)), b=np.pad([v], (299, 0))),
+            # n = 300, entries in off-diagonal tiles: non-finite wins over
+            # asymmetry, and a mirrored inf pair is symmetric
+            lambda v: IsingProblem(J=_with_entries(300, {(290, 10): v})),
+            lambda v: IsingProblem(J=_with_entries(300, {(0, 1): 1.0, (10, 290): v, (290, 10): v})),
+            lambda v: IsingProblem(J=_with_entries(300, {(10, 290): v, (290, 10): v})),
+            lambda v: QuboProblem(
+                Q=_with_entries(300, {(290, 10): 1.0, (299, 5): v}), a=np.zeros(300)
+            ),
         ],
-        ids=["J", "b", "Q", "a", "ground_energy", "offset", "J-second-band", "b-second-band"],
+        ids=[
+            "J", "b", "Q", "a", "ground_energy", "offset", "J-second-band", "b-second-band",
+            "J-lower-tile-only", "J-asymmetric-and-non-finite", "J-mirrored-pair",
+            "Q-asymmetric-and-non-finite",
+        ],
     )
     def test_rejects_non_finite(self, make, bad):
         with pytest.raises(ProblemFormatError, match="non-finite"):
@@ -113,6 +141,14 @@ class TestProblemInvariants:
         p = IsingProblem(J=np.zeros((2, 2)))
         with pytest.raises(ValueError):
             p.J[0, 1] = 1.0
+
+
+def _with_entries(n, entries):
+    """An n x n zero matrix with the given {(i, j): value} entries."""
+    J = np.zeros((n, n))
+    for (i, j), v in entries.items():
+        J[i, j] = v
+    return J
 
 
 def _read_only(arr):
