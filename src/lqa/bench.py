@@ -12,6 +12,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import math
+import os
 import time
 import typing
 from dataclasses import astuple, dataclass, fields, replace
@@ -39,6 +40,12 @@ class InstanceSpec:
     maxcut: bool = False
 
     def __post_init__(self):
+        # the id is a field of the CSVs and part of a trace file's name
+        if not self.id:
+            raise ValueError("instance '': id must not be empty")
+        bad = [c for c in (",", '"', "\n", "\r", "\0", "/", os.sep) if c in self.id]
+        if bad:
+            raise ValueError(f"instance {self.id!r}: id must not hold {bad[0]!r}")
         needs = {"pm1": ("n",), "wishart": ("n", "alpha")}.get(self.generator, ())
         if self.file is None and any(getattr(self, k) is None for k in needs):
             names = " and ".join(needs)

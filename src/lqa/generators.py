@@ -54,8 +54,10 @@ def gen_random_pm1(n: int, seed) -> IsingProblem:
             J[i, i + 1 :] = vals[start:stop]
             start = stop
     for rows, cols in _upper_tiles(n):
-        # the mirror tile is zero; on a diagonal tile this fills its lower half
-        J[cols, rows] += J[rows, cols].T
+        if rows == cols:  # fill the zero lower half of a diagonal tile
+            J[rows, rows] += J[rows, rows].T
+        else:
+            J[cols, rows] = J[rows, cols].T
     J.setflags(write=False)  # fresh, so IsingProblem adopts it
     return IsingProblem(J=J)
 

@@ -66,25 +66,22 @@ def _check_finite(arr: np.ndarray, name: str) -> None:
 def _upper_tiles(n: int):
     """Yield (rows, cols) slices of the upper-triangle tiles of an n x n
     matrix, diagonal tiles included; ``[cols, rows]`` is the mirror tile.
-    Walking a whole ``A.T`` reads column-wise, which misses the cache at
-    large n; a tile and its mirror both fit in it."""
+    Validation and the pm1 generator walk these: a whole ``A.T`` reads
+    column-wise and misses the cache at large n, a tile and its mirror fit."""
     t = _SYMMETRY_TILE
     for i in range(0, n, t):
         for j in range(i, n, t):
             yield slice(i, i + t), slice(j, j + t)
 
 
-def _is_symmetric(A: np.ndarray) -> bool:
-    """Exactly ``np.array_equal(A, A.T)``, compared tile by tile: each
-    upper-triangle tile against the transpose of its mirror."""
-    return all(np.array_equal(A[r, c], A[c, r].T) for r, c in _upper_tiles(A.shape[0]))
-
-
 def _check_coupling(J: np.ndarray, name: str = "J") -> np.ndarray:
     if J.ndim != 2 or J.shape[0] != J.shape[1]:
         raise ProblemFormatError(f"{name} must be a square matrix, got shape {J.shape}")
-    _check_finite(J, name)
-    if not _is_symmetric(J):
+    # finite upper tiles equal to their mirrors' transposes make J finite and
+    # symmetric; if not, J is scanned again to name a non-finite entry first
+    tiles = _upper_tiles(len(J))
+    if not all(np.isfinite(J[r, c]).all() and (J[r, c] == J[c, r].T).all() for r, c in tiles):
+        _check_finite(J, name)
         raise ProblemFormatError(f"{name} must be symmetric")
     if np.any(np.diagonal(J) != 0.0):
         raise ProblemFormatError(f"{name} must have zero diagonal (no self-couplings)")

@@ -321,6 +321,20 @@ class TestSpecFile:
              "instance 'a': n must be >= 2"),
             ({"instances": [{"id": "a", "generator": "pm1", "n": 20000}]},
              "instance 'a': n 20000 is above the cap of 16384 spins"),
+            ({"instances": [{"id": "", "generator": "pm1", "n": 4}]},
+             "instance '': id must not be empty"),
+            ({"instances": [{"id": "a,b", "generator": "pm1", "n": 4}]},
+             "instance 'a,b': id must not hold ','"),
+            ({"instances": [{"id": 'a"b', "generator": "pm1", "n": 4}]},
+             "instance 'a\"b': id must not hold '\"'"),
+            ({"instances": [{"id": "a\nb", "generator": "pm1", "n": 4}]},
+             r"instance 'a\\nb': id must not hold '\\n'"),
+            ({"instances": [{"id": "a\rb", "generator": "pm1", "n": 4}]},
+             r"instance 'a\\rb': id must not hold '\\r'"),
+            ({"instances": [{"id": "a\0b", "generator": "pm1", "n": 4}]},
+             r"instance 'a\\x00b': id must not hold '\\x00'"),
+            ({"instances": [{"id": "x/y", "generator": "pm1", "n": 4}]},
+             "instance 'x/y': id must not hold '/'"),
         ],
         ids=[
             "unknown-key", "unknown-instance-key", "missing-id", "instances-not-list",
@@ -328,6 +342,8 @@ class TestSpecFile:
             "bad-optimizer", "bad-momentum", "bad-instance-step-size",
             "negative-seed", "negative-workers", "zero-workers",
             "negative-gen-seed", "infinite-alpha", "nan-alpha", "n-below-two", "n-above-cap",
+            "empty-id", "comma-in-id", "quote-in-id", "newline-in-id", "return-in-id",
+            "nul-in-id", "slash-in-id",
         ],
     )
     def test_bad_spec_rejected(self, tmp_path, edit, message):

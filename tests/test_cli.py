@@ -271,8 +271,12 @@ class TestBench:
             # the setting is checked before the missing file is opened
             ({"momentum": 1.5, "instances": [{"id": "f", "file": "/no/such/file.txt"}]},
              "momentum must be in"),
+            # a comma would add a CSV field, a slash a directory to the trace path
+            ({"trace_stride": 5, "instances": [{"id": "a,b", "generator": "pm1", "n": 4},
+                                               {"id": "x/y", "generator": "pm1", "n": 4}]},
+             "instance 'a,b': id must not hold ','"),
         ],
-        ids=["unknown-key", "duplicate-id", "bad-setting"],
+        ids=["unknown-key", "duplicate-id", "bad-setting", "unsafe-id"],
     )
     def test_bad_spec_exits_one(self, capsys, tmp_path, extra, message):
         spec = self._spec_file(tmp_path, **extra)
@@ -281,7 +285,7 @@ class TestBench:
         )
         assert code == 1
         assert err.startswith(f"lqa: error: {spec}: ") and message in err
-        assert not (tmp_path / "run_trials.csv").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
 
     def test_worker_counts_agree(self, capsys, tmp_path):
         def run(workers, prefix):
