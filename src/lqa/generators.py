@@ -15,8 +15,8 @@ import numpy as np
 
 from .ising import IsingProblem, _upper_tiles
 
-# draws per band of rows in gen_random_pm1: two 512 KiB buffers (the
-# indices and the signs) whatever n is
+# draws per band of rows in gen_random_pm1: one 512 KiB buffer of
+# indices whatever n is
 _BAND_ENTRIES = 2**16
 
 
@@ -47,11 +47,12 @@ def gen_random_pm1(n: int, seed) -> IsingProblem:
         # rng.choice(signs, k) is signs.take(rng.integers(0, 2, k)), and
         # the integers stream does not depend on how the draws are split
         size = (hi - lo) * (2 * n - lo - hi - 1) // 2
-        vals = signs.take(rng.integers(0, 2, size=size))
+        picks = rng.integers(0, 2, size=size)
         start = 0
         for i in range(lo, hi):
             stop = start + n - 1 - i
-            J[i, i + 1 :] = vals[start:stop]
+            # straight into the row; mode "raise" would buffer the output
+            signs.take(picks[start:stop], out=J[i, i + 1 :], mode="clip")
             start = stop
     for rows, cols in _upper_tiles(n):
         if rows == cols:  # fill the zero lower half of a diagonal tile
