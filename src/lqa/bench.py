@@ -24,6 +24,9 @@ from .ising import MAX_SPINS, IsingProblem, graph_total_weight, load_instance, w
 from .solver import SolverConfig, SolverError, TrialTrace, solve
 
 SPEC_VERSION = 1
+# an id is a field of the ASCII CSVs and part of a trace file's name,
+# which a file system caps at 255 bytes; 200 leaves room for the prefix
+ID_MAX = 200
 
 
 @dataclass(frozen=True)
@@ -40,12 +43,14 @@ class InstanceSpec:
     maxcut: bool = False
 
     def __post_init__(self):
-        # the id is a field of the CSVs and part of a trace file's name
         if not self.id:
             raise ValueError("instance '': id must not be empty")
-        bad = [c for c in (",", '"', "\n", "\r", "\0", "/", os.sep) if c in self.id]
+        unsafe = ',"/' + os.sep
+        bad = [c for c in self.id if c in unsafe or not (c.isascii() and c.isprintable())]
         if bad:
             raise ValueError(f"instance {self.id!r}: id must not hold {bad[0]!r}")
+        if len(self.id) > ID_MAX:
+            raise ValueError(f"instance {self.id!r}: id is longer than {ID_MAX} characters")
         needs = {"pm1": ("n",), "wishart": ("n", "alpha")}.get(self.generator, ())
         if self.file is None and any(getattr(self, k) is None for k in needs):
             names = " and ".join(needs)

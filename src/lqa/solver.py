@@ -23,18 +23,13 @@ from .ising import IsingProblem, absorb_bias, normalize_ancilla, objective, writ
 
 HALF_PI = math.pi / 2.0
 
-
 # numpy takes a slower path for a Python float operand than for a 0-d
 # array (550-610 against 360-390 ns an operation on 20 values, numpy 2.4
 # on a 2-vCPU VM), so the step's constants are 0-d float64 arrays; the
 # arithmetic, and its bits, are the same
-def _const(x: float) -> np.ndarray:
-    c = np.array(x, dtype=np.float64)
-    c.flags.writeable = False
-    return c
-
-
-_HALF_PI, _ONE = _const(HALF_PI), _const(1.0)
+_HALF_PI = np.array(HALF_PI)
+_ONE = np.array(1.0)
+_HALF_PI.flags.writeable = _ONE.flags.writeable = False
 
 OPTIMIZERS = ("vanilla", "momentum", "adam")
 
@@ -42,9 +37,6 @@ OPTIMIZERS = ("vanilla", "momentum", "adam")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-_B1, _C1, _B2, _C2, _EPS = map(
-    _const, (ADAM_BETA1, 1.0 - ADAM_BETA1, ADAM_BETA2, 1.0 - ADAM_BETA2, ADAM_EPS)
-)
 
 
 class SolverError(RuntimeError):
@@ -181,18 +173,17 @@ def update_adam(
     m1, m2 in place. Returns the bias-corrected second moment m2_hat."""
     # in place on one scratch array, in the order of
     # w -= eta * m1_hat / (sqrt(m2_hat) + eps) and m2 += (1 - b2) * g * g
-    s = np.multiply(grad, _C1)
-    m1 *= _B1
+    s = np.multiply(grad, 1.0 - ADAM_BETA1)
+    m1 *= ADAM_BETA1
     m1 += s
-    np.multiply(grad, _C2, out=s)
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=s)
     s *= grad
-    m2 *= _B2
+    m2 *= ADAM_BETA2
     m2 += s
-    # the bias corrections as 0-d arrays too, as _const explains
-    m1_hat = m1 / np.array(1.0 - ADAM_BETA1**k)
-    m2_hat = m2 / np.array(1.0 - ADAM_BETA2**k)
+    m1_hat = m1 / (1.0 - ADAM_BETA1**k)
+    m2_hat = m2 / (1.0 - ADAM_BETA2**k)
     np.sqrt(m2_hat, out=s)
-    s += _EPS
+    s += ADAM_EPS
     m1_hat *= eta
     m1_hat /= s
     w -= m1_hat

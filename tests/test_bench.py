@@ -11,6 +11,7 @@ import pytest
 import lqa.bench
 from lqa import IsingProblem, load_bench_spec, run_batch, summarize
 from lqa.bench import (
+    ID_MAX,
     BenchSpec,
     InstanceSpec,
     TrialReport,
@@ -335,6 +336,10 @@ class TestSpecFile:
              r"instance 'a\\x00b': id must not hold '\\x00'"),
             ({"instances": [{"id": "x/y", "generator": "pm1", "n": 4}]},
              "instance 'x/y': id must not hold '/'"),
+            ({"instances": [{"id": "caf\u00e9", "generator": "pm1", "n": 4}]},
+             "instance 'caf\u00e9': id must not hold '\u00e9'"),
+            ({"instances": [{"id": "x" * 201, "generator": "pm1", "n": 4}]},
+             "instance 'x{201}': id is longer than 200 characters"),
         ],
         ids=[
             "unknown-key", "unknown-instance-key", "missing-id", "instances-not-list",
@@ -343,7 +348,7 @@ class TestSpecFile:
             "negative-seed", "negative-workers", "zero-workers",
             "negative-gen-seed", "infinite-alpha", "nan-alpha", "n-below-two", "n-above-cap",
             "empty-id", "comma-in-id", "quote-in-id", "newline-in-id", "return-in-id",
-            "nul-in-id", "slash-in-id",
+            "nul-in-id", "slash-in-id", "non-ascii-id", "long-id",
         ],
     )
     def test_bad_spec_rejected(self, tmp_path, edit, message):
@@ -353,6 +358,9 @@ class TestSpecFile:
         with pytest.raises(ValueError, match=message) as exc:
             load_bench_spec(spec_path)
         assert str(exc.value).startswith(f"{spec_path}: ")
+
+    def test_longest_id_accepted(self):
+        assert InstanceSpec(id="x" * ID_MAX, generator="pm1", n=4).id == "x" * ID_MAX
 
     def test_wrong_version_rejected(self, tmp_path):
         spec_path = tmp_path / "spec.json"
