@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 import numpy as np
@@ -36,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lqa", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="solve one instance file", parents=[])
+    p_solve = sub.add_parser("solve", help="solve one instance file")
     p_solve.add_argument("instance", help="path to a text-format instance file")
     p_solve.add_argument("--steps", type=int, default=SolverConfig.steps,
                          help="anneal steps N (default %(default)s)")
@@ -66,12 +67,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run a benchmark spec")
     p_bench.add_argument("spec", help="path to a JSON bench spec")
-    p_bench.add_argument(
-        "--output-prefix", default="bench", help="prefix for the emitted CSVs (default 'bench')"
-    )
-    p_bench.add_argument(
-        "--workers", type=int, default=None, help="trial parallelism (overrides the spec's workers)"
-    )
+    p_bench.add_argument("--output-prefix", default="bench",
+                         help="CSV prefix; its directory must exist (default 'bench')")
+    p_bench.add_argument("--workers", type=int, default=None,
+                         help="trial parallelism (overrides the spec's workers)")
 
     p_oracle = sub.add_parser("oracle", help="brute-force ground state of a small instance")
     p_oracle.add_argument("instance", help="path to a text-format instance file")
@@ -147,15 +146,23 @@ def _cmd_bench(args) -> int:
     spec = bench_mod.load_bench_spec(args.spec)
     if args.workers is not None:
         spec = dataclasses.replace(spec, workers=args.workers)
+    # fail before the trials run, not when their CSV is written
+    out_dir = os.path.dirname(args.output_prefix) or "."
+    if not os.path.isdir(out_dir):
+        raise FileNotFoundError(f"output directory {out_dir!r} does not exist")
     reports = bench_mod.run_batch(spec)
     bench_mod.write_reports_csv(reports, f"{args.output_prefix}_trials.csv")
-    bench_mod.write_summary_csv(bench_mod.summarize(reports), f"{args.output_prefix}_summary.csv")
-    if spec.trace_stride > 0:
-        for inst in spec.instances:
-            traces = [r.trace for r in reports if r.instance == inst.id and r.trace]
-            if traces:
-                rows = bench_mod.aggregate_traces(traces)
-                bench_mod.write_trace_csv(rows, f"{args.output_prefix}_{inst.id}_trace.csv")
+    try:
+        summaries = bench_mod.summarize(reports)
+    except ValueError as exc:  # every trial of an instance failed; the CSV above says why
+        print(f"lqa: runtime failure: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    bench_mod.write_summary_csv(summaries, f"{args.output_prefix}_summary.csv")
+    for inst in spec.instances:  # untraced trials have no trace
+        traces = [r.trace for r in reports if r.instance == inst.id and r.trace]
+        if traces:
+            rows = bench_mod.aggregate_traces(traces)
+            bench_mod.write_trace_csv(rows, f"{args.output_prefix}_{inst.id}_trace.csv")
     failures = sum(r.failed for r in reports)
     print(f"ran {len(reports)} trials ({failures} failed); wrote {args.output_prefix}_*.csv")
     return EXIT_OK

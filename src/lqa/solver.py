@@ -55,7 +55,7 @@ class SolverError(RuntimeError):
         self.step = step
 
     def __reduce__(self):
-        # rebuild from the fields, so the error can cross a process pool
+        # keeps the error picklable with its fields, as tests/test_solver.py pins
         return type(self), (self.reason, self.step, str(self))
 
 
@@ -171,22 +171,13 @@ def update_adam(
 ) -> np.ndarray:
     """Adam step k >= 1 with bias correction, updating w and the moments
     m1, m2 in place. Returns the bias-corrected second moment m2_hat."""
-    # in place on one scratch array, in the order of
-    # w -= eta * m1_hat / (sqrt(m2_hat) + eps) and m2 += (1 - b2) * g * g
-    s = np.multiply(grad, 1.0 - ADAM_BETA1)
     m1 *= ADAM_BETA1
-    m1 += s
-    np.multiply(grad, 1.0 - ADAM_BETA2, out=s)
-    s *= grad
+    m1 += (1.0 - ADAM_BETA1) * grad
     m2 *= ADAM_BETA2
-    m2 += s
+    m2 += (1.0 - ADAM_BETA2) * grad * grad
     m1_hat = m1 / (1.0 - ADAM_BETA1**k)
     m2_hat = m2 / (1.0 - ADAM_BETA2**k)
-    np.sqrt(m2_hat, out=s)
-    s += ADAM_EPS
-    m1_hat *= eta
-    m1_hat /= s
-    w -= m1_hat
+    w -= eta * m1_hat / (np.sqrt(m2_hat) + ADAM_EPS)
     return m2_hat
 
 

@@ -156,11 +156,13 @@ class TestRunBatch:
         for workers in (2, 5):  # 5 is more than the 4 jobs
             assert self._untimed(run_batch(self._mixed_spec(workers))) == self._untimed(serial)
 
-    def test_spawned_workers_give_the_same_results(self, monkeypatch):
-        # spawn, unlike fork, pickles the problems into each worker it starts
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_spawned_workers_give_the_same_results(self, monkeypatch, method):
+        # spawn and forkserver (Python 3.14's Linux default), unlike fork,
+        # pickle the problems into each worker they start
         serial = run_batch(self._mixed_spec(workers=1))
-        spawn = multiprocessing.get_context("spawn")
-        pool = functools.partial(concurrent.futures.ProcessPoolExecutor, mp_context=spawn)
+        context = multiprocessing.get_context(method)
+        pool = functools.partial(concurrent.futures.ProcessPoolExecutor, mp_context=context)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
         pickles = self._count_problem_pickles(monkeypatch)
         assert self._untimed(run_batch(self._mixed_spec(workers=2))) == self._untimed(serial)

@@ -301,6 +301,34 @@ class TestBench:
 
         assert run(1, "serial") == run(2, "parallel")
 
+    def test_every_trial_failed_exits_two(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("0 1 1e308\n0 2 1e308\n1 2 1e308\n")
+        spec = self._spec_file(tmp_path, trials=2, instances=[{"id": "bad", "file": str(bad)}])
+        code, _, err = run_cli(capsys, "bench", spec, "--output-prefix", str(tmp_path / "run"))
+        assert (code, err) == (2, "lqa: runtime failure: instance 'bad': every trial failed\n")
+        rows = (tmp_path / "run_trials.csv").read_text().splitlines()[1:]
+        # failed, with its reason and step, on each trial's row
+        assert [row.split(",")[-3:] for row in rows] == [
+            ["1", "non-finite Adam second moment", "1"]
+        ] * 2
+        assert not (tmp_path / "run_summary.csv").exists()
+
+    def test_missing_output_directory_exits_one_before_any_trial(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(lqa.bench, "materialize", no_trials)
+        monkeypatch.setattr(lqa.bench, "_run_trial", no_trials)
+        spec = self._spec_file(tmp_path)
+        prefix = str(tmp_path / "nodir" / "run")
+        code, _, err = run_cli(capsys, "bench", spec, "--output-prefix", prefix)
+        assert code == 1
+        assert err == f"lqa: error: output directory {str(tmp_path / 'nodir')!r} does not exist\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+
     def test_zero_workers_exits_one(self, capsys, tmp_path):
         spec = self._spec_file(tmp_path)
         code, _, err = run_cli(

@@ -41,8 +41,8 @@ def gradient_reference(p, w, t, gamma):
 
 
 def update_adam_reference(w, m1, m2, grad, eta, k):
-    """Adam's step as one expression per line: the in-place update must
-    give its bits."""
+    """Adam's step as one expression per line, the bits the Adam goldens
+    were recorded with: ``update_adam`` must keep them."""
     m1 *= ADAM_BETA1
     m1 += (1.0 - ADAM_BETA1) * grad
     m2 *= ADAM_BETA2
@@ -107,8 +107,8 @@ class TestGradient:
 
 
 class TestInPlaceBits:
-    """The in-place gradient and Adam step give the bits of the one-line
-    forms above."""
+    """The in-place gradient gives the bits of its one-line form above,
+    and ``update_adam`` those of its reference, over steps and scales."""
 
     @pytest.mark.parametrize("t", [0.0, 1 / 3, 1.0])
     @pytest.mark.parametrize("gamma", [0.1, 1.0, 3.7])
