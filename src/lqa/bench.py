@@ -276,11 +276,13 @@ class InstanceSummary:
     instance: str
     trials: int
     failures: int
-    metric: str  # relative_error | cut | final_energy
-    mean: float
-    std: float
-    min: float
-    max: float
+    # relative_error | cut | final_energy; these five are None when
+    # every trial of the instance failed
+    metric: str | None = None
+    mean: float | None = None
+    std: float | None = None
+    min: float | None = None
+    max: float | None = None
 
 
 def summarize(reports: list[TrialReport]) -> list[InstanceSummary]:
@@ -288,7 +290,8 @@ def summarize(reports: list[TrialReport]) -> list[InstanceSummary]:
 
     Relative error is summarized when the optimum is known, else the
     cut value for Max-Cut instances, else the final energy. Failed
-    trials are excluded from the statistics but counted.
+    trials are excluded from the statistics but counted; an instance
+    whose every trial failed gets a row with no metric or statistics.
     """
     if not reports:
         raise ValueError("no reports to summarize")
@@ -299,7 +302,8 @@ def summarize(reports: list[TrialReport]) -> list[InstanceSummary]:
     for inst_id, group in grouped.items():
         ok = [r for r in group if not r.failed]
         if not ok:
-            raise ValueError(f"instance {inst_id!r}: every trial failed")
+            out.append(InstanceSummary(inst_id, len(group), len(group)))
+            continue
         if ok[0].relative_error is not None:
             metric, values = "relative_error", [r.relative_error for r in ok]
         elif ok[0].cut is not None:

@@ -152,17 +152,18 @@ def _cmd_bench(args) -> int:
         raise FileNotFoundError(f"output directory {out_dir!r} does not exist")
     reports = bench_mod.run_batch(spec)
     bench_mod.write_reports_csv(reports, f"{args.output_prefix}_trials.csv")
-    try:
-        summaries = bench_mod.summarize(reports)
-    except ValueError as exc:  # every trial of an instance failed; the CSV above says why
-        print(f"lqa: runtime failure: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    summaries = bench_mod.summarize(reports)
     bench_mod.write_summary_csv(summaries, f"{args.output_prefix}_summary.csv")
-    for inst in spec.instances:  # untraced trials have no trace
+    for inst in spec.instances:  # untraced and failed trials have no trace
         traces = [r.trace for r in reports if r.instance == inst.id and r.trace]
         if traces:
             rows = bench_mod.aggregate_traces(traces)
             bench_mod.write_trace_csv(rows, f"{args.output_prefix}_{inst.id}_trace.csv")
+    for s in summaries:  # the trials CSV says why each trial failed
+        if s.failures == s.trials:
+            msg = f"instance {s.instance!r}: every trial failed"
+            print(f"lqa: runtime failure: {msg}", file=sys.stderr)
+            return EXIT_RUNTIME
     failures = sum(r.failed for r in reports)
     print(f"ran {len(reports)} trials ({failures} failed); wrote {args.output_prefix}_*.csv")
     return EXIT_OK

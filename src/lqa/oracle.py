@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ising import IsingProblem, as_spins
+from .ising import IsingProblem
 
 MAX_BRUTE_FORCE_SPINS = 24
 # energies per enumeration block: the block and its cross term are two
@@ -84,17 +84,3 @@ def brute_force_ground(p: IsingProblem) -> tuple[float, np.ndarray]:
         mins = np.concatenate([mins, -mins])
     # lexsort's last key is the primary one: sort by spin 0 first
     return float(best), mins[np.lexsort(mins.T[::-1])]
-
-
-def single_flip_stable(p: IsingProblem, s, tol: float = 1e-9) -> bool:
-    """True iff no single spin flip strictly decreases the energy.
-
-    Uses the local fields h = J s + b/2: flipping spin i changes the
-    energy by -4 s_i h_i, so stability is -4 s_i h_i >= 0 for every i
-    (up to tol, scaled by the field magnitude).
-    """
-    s = as_spins(s)
-    h = p.J @ s + p.b / 2.0
-    deltas = -4.0 * s * h
-    scale = max(1.0, float((np.abs(p.J).sum(axis=1) + np.abs(p.b) / 2.0).max()))
-    return bool(np.all(deltas >= -tol * scale))

@@ -13,16 +13,13 @@ import pytest
 from lqa import (
     SolverConfig,
     anneal,
-    brute_force_ground,
     cut_value,
-    gen_random_pm1,
-    gen_wishart,
     gradient,
     objective,
-    run_batch,
-    summarize,
 )
-from lqa.bench import BenchSpec, InstanceSpec
+from lqa.bench import BenchSpec, InstanceSpec, run_batch, summarize
+from lqa.generators import gen_random_pm1, gen_wishart
+from lqa.oracle import brute_force_ground
 from lqa.ising import graph_total_weight
 from lqa.solver import init_weights
 from lqa.cli import main as cli_main

@@ -9,14 +9,17 @@ import numpy as np
 import pytest
 
 import lqa.bench
-from lqa import IsingProblem, load_bench_spec, run_batch, summarize
+from lqa import IsingProblem
 from lqa.bench import (
     ID_MAX,
     BenchSpec,
     InstanceSpec,
     TrialReport,
     aggregate_traces,
+    load_bench_spec,
     materialize,
+    run_batch,
+    summarize,
     trial_seed,
     write_reports_csv,
     write_summary_csv,
@@ -65,6 +68,12 @@ class TestSummarize:
         reports = [make_report(rel=0.5), make_report(trial=1, failed=True)]
         s = summarize(reports)[0]
         assert s.failures == 1 and s.trials == 2 and s.mean == 0.5
+
+    def test_every_trial_failed_leaves_statistics_empty(self):
+        reports = [make_report(rel=0.5), make_report(instance="bad", failed=True)]
+        s = summarize(reports)[1]
+        assert (s.instance, s.trials, s.failures) == ("bad", 1, 1)
+        assert (s.metric, s.mean, s.std, s.min, s.max) == (None,) * 5
 
     def test_metric_fallbacks(self):
         assert summarize([make_report(cut=7.0)])[0].metric == "cut"

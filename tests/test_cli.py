@@ -10,10 +10,11 @@ import pytest
 
 import lqa
 import lqa.generators
-from lqa import SolverConfig, brute_force_ground, load_instance
-from lqa.bench import aggregate_traces
+from lqa import SolverConfig, load_instance
+from lqa.bench import aggregate_traces, load_bench_spec, run_batch
 from lqa.cli import build_parser, main
 from lqa.ising import MAX_SPINS
+from lqa.oracle import brute_force_ground
 
 
 def run_cli(capsys, *argv):
@@ -244,7 +245,7 @@ class TestBench:
         assert names == {
             "spec.json", "run_trials.csv", "run_summary.csv", "run_w_trace.csv", "run_p_trace.csv"
         }
-        reports = lqa.run_batch(lqa.load_bench_spec(spec))
+        reports = run_batch(load_bench_spec(spec))
         for inst in ("w", "p"):
             rows = aggregate_traces([r.trace for r in reports if r.instance == inst])
             assert [step for step, *_ in rows] == [30, 60, 90, 100]
@@ -304,15 +305,26 @@ class TestBench:
     def test_every_trial_failed_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("0 1 1e308\n0 2 1e308\n1 2 1e308\n")
-        spec = self._spec_file(tmp_path, trials=2, instances=[{"id": "bad", "file": str(bad)}])
-        code, _, err = run_cli(capsys, "bench", spec, "--output-prefix", str(tmp_path / "run"))
+        instances = [
+            {"id": "ok", "generator": "pm1", "n": 8, "maxcut": True},
+            {"id": "bad", "file": str(bad)},
+        ]
+        spec = self._spec_file(
+            tmp_path, trials=2, steps=50, trace_stride=10, instances=instances
+        )
+        code, _, err = run_cli(capsys, "bench", spec, "--output-prefix", str(tmp_path / "mix"))
         assert (code, err) == (2, "lqa: runtime failure: instance 'bad': every trial failed\n")
-        rows = (tmp_path / "run_trials.csv").read_text().splitlines()[1:]
-        # failed, with its reason and step, on each trial's row
-        assert [row.split(",")[-3:] for row in rows] == [
+        rows = (tmp_path / "mix_trials.csv").read_text().splitlines()[1:]
+        # failed, with its reason and step, on each of bad's rows
+        assert [row.split(",")[-3:] for row in rows[2:]] == [
             ["1", "non-finite Adam second moment", "1"]
         ] * 2
-        assert not (tmp_path / "run_summary.csv").exists()
+        # the instance that ran keeps its summary row and its trace
+        summary = (tmp_path / "mix_summary.csv").read_text().splitlines()[1:]
+        assert summary[0].startswith("ok,2,0,cut,")
+        assert summary[1] == "bad,2,2,,,,,"
+        assert (tmp_path / "mix_ok_trace.csv").exists()
+        assert not (tmp_path / "mix_bad_trace.csv").exists()
 
     def test_missing_output_directory_exits_one_before_any_trial(
         self, capsys, tmp_path, monkeypatch
@@ -379,7 +391,7 @@ class TestOracle:
 
 class TestStartup:
     """`lqa solve` imports only ising, solver and cli; the other modules
-    load when a command or an attribute access needs them."""
+    load when a command needs them."""
 
     def test_cli_import_leaves_other_modules_out(self):
         code = (
@@ -395,10 +407,16 @@ class TestStartup:
         assert proc.stdout.strip() == "[]"
 
     def test_every_exported_name_resolves(self):
-        assert len(lqa.__all__) == 21
+        assert sorted(lqa.__all__) == sorted([
+            "IsingProblem", "ProblemFormatError", "QuboProblem", "SolverConfig", "SolverError",
+            "anneal", "cost", "cut_value", "gradient", "load_instance", "objective",
+            "qubo_to_ising", "save_instance", "solve",
+        ])
         for name in lqa.__all__:
             assert getattr(lqa, name).__name__ == name
-        assert not hasattr(lqa, "no_such_name")
+        # bench, generators and oracle names are reached through their modules only
+        for name in ("run_batch", "gen_wishart", "brute_force_ground", "no_such_name"):
+            assert not hasattr(lqa, name)
 
     def test_star_import_binds_every_exported_name(self):
         namespace = {}

@@ -4,14 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lqa import (
-    brute_force_ground,
-    gen_random_pm1,
-    gen_wishart,
-    objective,
-)
-from lqa import generators
-from lqa.oracle import single_flip_stable
+from lqa import generators, objective
+from lqa.generators import gen_random_pm1, gen_wishart
+from lqa.oracle import brute_force_ground
+from conftest import single_flip_stable
 
 # every seed form numpy's default_rng takes
 SEEDS = [4, np.random.SeedSequence(4), None]

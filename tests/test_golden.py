@@ -19,10 +19,9 @@ import numpy as np
 import pytest
 
 import lqa
-from lqa import (
-    IsingProblem, SolverConfig, anneal, brute_force_ground, gen_random_pm1, gen_wishart,
-    save_instance,
-)
+from lqa import IsingProblem, SolverConfig, anneal, save_instance
+from lqa.generators import gen_random_pm1, gen_wishart
+from lqa.oracle import brute_force_ground
 from lqa.solver import init_weights
 from conftest import random_ising, random_symmetric
 
@@ -125,7 +124,7 @@ def wishart_one_thread():
     generated in a subprocess that runs BLAS on one thread."""
     code = (
         "import hashlib, json, sys\n"
-        "from lqa import gen_wishart\n"
+        "from lqa.generators import gen_wishart\n"
         "sha = lambda a: hashlib.sha256(a.tobytes()).hexdigest()\n"
         "out = []\n"
         "for n, alpha in json.loads(sys.argv[1]):\n"

@@ -17,14 +17,13 @@ from lqa import (
     ProblemFormatError,
     QuboProblem,
     cut_value,
-    gen_random_pm1,
-    gen_wishart,
     load_instance,
     objective,
     qubo_to_ising,
     save_instance,
 )
 from lqa import ising
+from lqa.generators import gen_random_pm1, gen_wishart
 from lqa.ising import MAX_SPINS, _load_bulk, _load_lines, absorb_bias, normalize_ancilla
 from conftest import random_symmetric
 
@@ -407,7 +406,7 @@ class TestAbsorbBias:
             assert objective(p2, np.append(s, 1.0)) == pytest.approx(objective(p, s))
 
     def test_minimum_preserved_by_oracle(self, rng):
-        from lqa import brute_force_ground
+        from lqa.oracle import brute_force_ground
 
         n = 8
         p = IsingProblem(J=random_symmetric(n, rng), b=rng.uniform(-1, 1, n))
@@ -543,7 +542,7 @@ class TestInstanceFormat:
             load_instance(f)
 
     def test_round_trip_exact(self, tmp_path, rng):
-        from lqa import gen_wishart
+        from lqa.generators import gen_wishart
 
         inst = gen_wishart(10, 0.8, 4)
         f = tmp_path / "w.txt"

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lqa import IsingProblem, brute_force_ground, objective
-from lqa.oracle import single_flip_stable
-from conftest import random_ising, random_symmetric
+from lqa import IsingProblem, objective
+from lqa.oracle import brute_force_ground
+from conftest import random_ising, random_symmetric, single_flip_stable
 
 
 def naive_ground(p):
@@ -84,7 +84,7 @@ class TestBruteForce:
         assert {tuple(-s) for s in mins} == set(keys)
 
     def test_wishart_planted_recovered(self):
-        from lqa import gen_wishart
+        from lqa.generators import gen_wishart
 
         inst = gen_wishart(12, 1.0, 7)
         e, mins = brute_force_ground(inst.problem)

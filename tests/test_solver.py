@@ -11,12 +11,12 @@ from lqa import (
     SolverConfig,
     SolverError,
     anneal,
-    brute_force_ground,
     cost,
     gradient,
     objective,
     solve,
 )
+from lqa.oracle import brute_force_ground
 from lqa.solver import (
     ADAM_BETA1,
     ADAM_BETA2,
