@@ -24,8 +24,6 @@ from .solver import (
     SolverConfig,
     SolverError,
     anneal,
-    cost,
-    gradient,
     solve,
 )
 
@@ -36,9 +34,7 @@ __all__ = [
     "SolverConfig",
     "SolverError",
     "anneal",
-    "cost",
     "cut_value",
-    "gradient",
     "load_instance",
     "objective",
     "qubo_to_ising",

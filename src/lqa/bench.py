@@ -51,7 +51,12 @@ class InstanceSpec:
             raise ValueError(f"instance {self.id!r}: id must not hold {bad[0]!r}")
         if len(self.id) > ID_MAX:
             raise ValueError(f"instance {self.id!r}: id is longer than {ID_MAX} characters")
-        needs = {"pm1": ("n",), "wishart": ("n", "alpha")}.get(self.generator, ())
+        needs = {"pm1": ("n",), "wishart": ("n", "alpha")}.get(self.generator)
+        given = [k for k in ("generator", "n", "alpha") if getattr(self, k) is not None]
+        if self.file is not None and given:
+            raise ValueError(f"instance {self.id!r}: a file takes no {given[0]!r}")
+        if self.file is None and needs is None:
+            raise ValueError(f"instance {self.id!r}: no file and unknown generator {self.generator!r}")
         if self.file is None and any(getattr(self, k) is None for k in needs):
             names = " and ".join(needs)
             raise ValueError(f"instance {self.id!r}: generator {self.generator!r} needs {names}")
@@ -180,9 +185,7 @@ def materialize(inst: InstanceSpec) -> IsingProblem:
         return load_instance(inst.file)
     if inst.generator == "pm1":
         return gen_random_pm1(inst.n, inst.gen_seed)
-    if inst.generator == "wishart":
-        return gen_wishart(inst.n, inst.alpha, inst.gen_seed).problem
-    raise ValueError(f"instance {inst.id!r}: no file and unknown generator {inst.generator!r}")
+    return gen_wishart(inst.n, inst.alpha, inst.gen_seed).problem
 
 
 def trial_seed(base_seed: int, instance_index: int, trial_index: int) -> np.random.SeedSequence:

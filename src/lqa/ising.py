@@ -380,8 +380,6 @@ def _load_bulk(path) -> IsingProblem:
     if rows.size == 0:
         raise ValueError("no data rows")
     head, j, val = rows["head"], rows["j"], rows["val"]
-    if not np.isfinite(val).all():
-        raise ValueError("non-finite value")
     is_bias = head == b"b"
     bi, bval = j[is_bias], val[is_bias]
     ci, cj, cval = _parse_index(head[~is_bias]), j[~is_bias], val[~is_bias]
@@ -404,6 +402,7 @@ def _load_bulk(path) -> IsingProblem:
     J.setflags(write=False)  # fresh, so IsingProblem adopts it
     b = np.zeros(n)
     b[bi] = bval
+    # IsingProblem rejects a non-finite value with a ProblemFormatError
     return IsingProblem(J=J, b=b, **fields)
 
 
@@ -446,8 +445,11 @@ def _load_lines(path) -> IsingProblem:
     fields: dict[str, float] = {}
     n = 0
     n_line = 0  # the line of the last `# n:` comment
-    with open(path, "r", encoding="ascii") as fh:
+    # a byte above 127 reads as a lone surrogate, so the line is named
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if not raw.isascii():
+                raise ProblemFormatError(f"{path}:{lineno}: not ASCII text")
             line = raw.strip()
             if not line:
                 continue

@@ -101,17 +101,6 @@ def spin_readout(w: np.ndarray) -> np.ndarray:
     return np.where(np.asarray(w) >= 0.0, 1.0, -1.0)
 
 
-def _checked(p: IsingProblem, w, name: str = "w") -> np.ndarray:
-    """Check that p has no bias and w (called ``name`` in the error) has
-    shape (n,); return w as a float64 array."""
-    if p.has_bias:
-        raise ValueError("problem has a nonzero bias; call solve instead")
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (p.n,):
-        raise ValueError(f"{name} has shape {w.shape}, expected ({p.n},)")
-    return w
-
-
 def _angles(w: np.ndarray):
     """(tanh w, z, x) for theta = (pi/2) tanh w, as new arrays."""
     th = np.tanh(w)
@@ -122,8 +111,9 @@ def _angles(w: np.ndarray):
 
 
 def cost(p: IsingProblem, w: np.ndarray, t: float, gamma: float) -> float:
-    """Annealed cost t*gamma*z^T J z - (1-t)*sum(x)."""
-    _, z, x = _angles(_checked(p, w))
+    """Annealed cost t*gamma*z^T J z - (1-t)*sum(x), for an unbiased p and
+    a float64 w of shape (n,): unchecked, as :func:`anneal` ensures both."""
+    _, z, x = _angles(w)
     return float(t * gamma * (z @ (p.J @ z)) - (1.0 - t) * x.sum())
 
 
@@ -136,9 +126,9 @@ def gradient(p: IsingProblem, w: np.ndarray, t: float, gamma: float) -> np.ndarr
     the runtime at large n. The formula is evaluated in place on the
     step's own temporaries, in the order of the expression above
     (IEEE * and + are commutative, so the bits are those of the
-    one-line form).
+    one-line form). p and w are unchecked, as in :func:`cost`.
     """
-    th, z, x = _angles(_checked(p, w))
+    th, z, x = _angles(w)
     g = p.J @ z
     g *= t * gamma * 2.0
     g *= x
@@ -215,10 +205,14 @@ def anneal(
 
     For i = 1..N: t = i / N, one gradient evaluation, one
     optimizer update. Deterministic given (p, cfg, w0); no randomness
-    is consumed inside the loop.
+    is consumed inside the loop. The solver's one input check: p has
+    no bias, and w0 is finite with shape (n,).
     """
+    if p.has_bias:
+        raise ValueError("problem has a nonzero bias; call solve instead")
     w = np.array(w0, dtype=np.float64)  # a copy: the loop updates w in place
-    _checked(p, w, "w0")
+    if w.shape != (p.n,):
+        raise ValueError(f"w0 has shape {w.shape}, expected ({p.n},)")
     if not np.isfinite(w).all():
         raise ValueError("w0 must be finite")
     v, m1, m2 = np.zeros_like(w), np.zeros_like(w), np.zeros_like(w)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from lqa import IsingProblem, cost
+from lqa import IsingProblem
 from lqa.ising import as_spins
+from lqa.solver import cost
 
 
 def random_symmetric(n, rng, scale=1.0):

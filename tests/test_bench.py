@@ -228,8 +228,9 @@ class TestRunBatch:
         # IsingProblem rejects non-finite couplings; these finite ones
         # overflow the objective of every spin assignment
         bad = IsingProblem(J=np.full((3, 3), 1e308) - np.diag([1e308] * 3))
+        # the problem is passed in, so the generator never runs
         spec = self._spec(
-            instances=(InstanceSpec(id="bad", generator=None),), trials=2, steps=5,
+            instances=(InstanceSpec(id="bad", generator="pm1", n=3),), trials=2, steps=5,
             optimizer="vanilla",
         )
         reports = run_batch(spec, problems={"bad": bad})
@@ -248,14 +249,14 @@ class TestRunBatch:
     def test_biased_maxcut_fails_before_trials(self):
         # cut_value would also reject it, but only inside a trial and without the id
         biased = IsingProblem(J=np.zeros((2, 2)), b=np.array([1.0, 0.0]))
-        spec = self._spec(instances=(InstanceSpec(id="cut", generator=None, maxcut=True),))
+        spec = self._spec(instances=(InstanceSpec(id="cut", generator="pm1", n=2, maxcut=True),))
         with pytest.raises(ValueError, match="instance 'cut': maxcut needs a problem without bias"):
             run_batch(spec, problems={"cut": biased})
 
     def test_unknown_generator_fails_before_trials(self):
-        spec = self._spec(instances=(InstanceSpec(id="x", generator="nope"),))
+        # the spec itself is rejected, before any instance is built
         with pytest.raises(ValueError, match="nope"):
-            run_batch(spec)
+            run_batch(self._spec(instances=(InstanceSpec(id="x", generator="nope"),)))
 
 
 class TestAggregateTraces:
@@ -351,6 +352,14 @@ class TestSpecFile:
              "instance 'caf\u00e9': id must not hold '\u00e9'"),
             ({"instances": [{"id": "x" * 201, "generator": "pm1", "n": 4}]},
              "instance 'x{201}': id is longer than 200 characters"),
+            ({"instances": [{"id": "x", "file": "a.txt", "generator": "wishart", "n": 50,
+                             "alpha": 0.5}]},
+             "instance 'x': a file takes no 'generator'"),
+            ({"instances": [{"id": "x", "file": "a.txt", "n": 50}]},
+             "instance 'x': a file takes no 'n'"),
+            ({"instances": [{"id": "x", "generator": "nope"}]},
+             "instance 'x': no file and unknown generator 'nope'"),
+            ({"instances": [{"id": "x"}]}, "instance 'x': no file and unknown generator None"),
         ],
         ids=[
             "unknown-key", "unknown-instance-key", "missing-id", "instances-not-list",
@@ -360,6 +369,7 @@ class TestSpecFile:
             "negative-gen-seed", "infinite-alpha", "nan-alpha", "n-below-two", "n-above-cap",
             "empty-id", "comma-in-id", "quote-in-id", "newline-in-id", "return-in-id",
             "nul-in-id", "slash-in-id", "non-ascii-id", "long-id",
+            "file-and-generator", "file-and-n", "unknown-generator", "no-source",
         ],
     )
     def test_bad_spec_rejected(self, tmp_path, edit, message):

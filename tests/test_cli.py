@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import re
@@ -58,6 +59,14 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", "/no/such/file.txt")
         assert code == 1
         assert "/no/such/file.txt" in err
+
+    def test_non_ascii_file_names_line(self, capsys, tmp_path):
+        f = tmp_path / "u.txt"
+        f.write_bytes("0 1 1.0\n# caf\u00e9\n".encode("utf-8"))
+        code, out, err = run_cli(capsys, "solve", str(f), "--steps", "5")
+        assert code == 1
+        assert err == f"lqa: error: {f}:2: not ASCII text\n"
+        assert out == ""
 
     def test_repeat_runs_byte_identical(self, capsys, tmp_path, ferro_file):
         outs = []
@@ -276,8 +285,18 @@ class TestBench:
             ({"trace_stride": 5, "instances": [{"id": "a,b", "generator": "pm1", "n": 4},
                                                {"id": "x/y", "generator": "pm1", "n": 4}]},
              "instance 'a,b': id must not hold ','"),
+            # one problem source per instance, known before any instance is built
+            ({"instances": [{"id": "x", "file": "a.txt", "generator": "wishart", "n": 50,
+                             "alpha": 0.5}]},
+             "instance 'x': a file takes no 'generator'"),
+            ({"instances": [{"id": "a", "generator": "pm1", "n": 4},
+                            {"id": "x", "generator": "nope"}]},
+             "instance 'x': no file and unknown generator 'nope'"),
         ],
-        ids=["unknown-key", "duplicate-id", "bad-setting", "unsafe-id"],
+        ids=[
+            "unknown-key", "duplicate-id", "bad-setting", "unsafe-id", "file-and-generator",
+            "unknown-generator",
+        ],
     )
     def test_bad_spec_exits_one(self, capsys, tmp_path, extra, message):
         spec = self._spec_file(tmp_path, **extra)
@@ -409,14 +428,27 @@ class TestStartup:
     def test_every_exported_name_resolves(self):
         assert sorted(lqa.__all__) == sorted([
             "IsingProblem", "ProblemFormatError", "QuboProblem", "SolverConfig", "SolverError",
-            "anneal", "cost", "cut_value", "gradient", "load_instance", "objective",
-            "qubo_to_ising", "save_instance", "solve",
+            "anneal", "cut_value", "load_instance", "objective", "qubo_to_ising",
+            "save_instance", "solve",
         ])
         for name in lqa.__all__:
             assert getattr(lqa, name).__name__ == name
-        # bench, generators and oracle names are reached through their modules only
-        for name in ("run_batch", "gen_wishart", "brute_force_ground", "no_such_name"):
+        # the step functions and the bench, generators and oracle names are
+        # reached through their modules only
+        for name in (
+            "cost", "gradient", "run_batch", "gen_wishart", "brute_force_ground", "no_such_name"
+        ):
             assert not hasattr(lqa, name)
+
+    def test_every_traced_name_resolves(self):
+        # the tracer skips a missing name, and its layer metrics would read 0
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        assert len(tracer.WRAPPED) == 14
+        for module, attribute, *_ in tracer.WRAPPED:
+            assert callable(getattr(importlib.import_module(module), attribute)), (module, attribute)
 
     def test_star_import_binds_every_exported_name(self):
         namespace = {}

@@ -5,6 +5,7 @@ import itertools
 import math
 import os
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -639,6 +640,20 @@ class TestInstanceFormat:
         with pytest.raises(ProblemFormatError, match=message):
             load_instance(f)
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"# caf\xc3\xa9\n0 1 1.0\n", ":1: not ASCII text"),
+            (b"0 1 1.0\r0 2 1.0\xff\r", ":2: not ASCII text"),
+        ],
+        ids=["utf-8-comment", "cr-only-latin-1"],
+    )
+    def test_non_ascii_line_rejected(self, tmp_path, data, message):
+        f = tmp_path / "p.txt"
+        f.write_bytes(data)
+        with pytest.raises(ProblemFormatError, match=f"^{re.escape(str(f))}{message}$"):
+            load_instance(f)
+
     @pytest.mark.filterwarnings("error")  # np.loadtxt warns on input without data
     @pytest.mark.parametrize("text", ["", "# ground_energy: 1.0\n", "\n \t\n", "# n: 0\n"])
     def test_file_without_data_rejected(self, tmp_path, text):
@@ -768,6 +783,7 @@ _MALFORMED_ROWS = [
     "# n: 1.5",
     "# n: three",
     f"# n: {MAX_SPINS + 1}",
+    "# caf\u00e9",
 ]
 # Rows the line parser accepts in forms the well-formed files do not
 # use: a first field too long for the bulk row type, digit separators and
@@ -806,7 +822,7 @@ _malformed_file = _edited_file(_MALFORMED_ROWS)
 def _outcome(load, path):
     try:
         p = load(path)
-    except (ProblemFormatError, UnicodeDecodeError) as exc:
+    except ProblemFormatError as exc:
         return type(exc).__name__, str(exc)
     return p.J.tobytes(), p.b.tobytes(), p.ground_energy, p.offset
 
@@ -826,7 +842,7 @@ class TestBulkParser:
         """Whatever the bulk pass accepts, it reads as the line parser does;
         a file it rejects goes to the line parser, whose error names the line."""
         f = tmp_path_factory.mktemp("any") / "p.txt"
-        f.write_bytes(text.encode("ascii"))
+        f.write_bytes(text.encode("utf-8"))
         assert _outcome(load_instance, f) == _outcome(_load_lines, f)
 
     @pytest.mark.parametrize(
@@ -858,7 +874,7 @@ class TestBulkParser:
     @given(text=_malformed_file)
     def test_malformed_file_rejected_with_line_number(self, tmp_path_factory, text):
         f = tmp_path_factory.mktemp("bad") / "p.txt"
-        f.write_bytes(text.encode("ascii"))
+        f.write_bytes(text.encode("utf-8"))
         with pytest.raises(ProblemFormatError, match=r"p\.txt:\d+: "):
             load_instance(f)
 

@@ -11,8 +11,6 @@ from lqa import (
     SolverConfig,
     SolverError,
     anneal,
-    cost,
-    gradient,
     objective,
     solve,
 )
@@ -23,6 +21,8 @@ from lqa.solver import (
     ADAM_EPS,
     HALF_PI,
     TrialTrace,
+    cost,
+    gradient,
     init_weights,
     spin_readout,
     update_adam,
@@ -364,16 +364,13 @@ class TestVanillaReference:
 
 
 class TestBoundaryChecks:
-    """cost, gradient and anneal reject what the anneal step cannot use."""
+    """anneal, the solver's one input check, rejects what the anneal step
+    cannot use; cost and gradient trust their caller."""
 
     @pytest.mark.parametrize(
         "call",
-        [
-            lambda p, w: cost(p, w, 0.5, 1.0),
-            lambda p, w: gradient(p, w, 0.5, 1.0),
-            lambda p, w: anneal(p, SolverConfig(steps=3), w),
-        ],
-        ids=["cost", "gradient", "anneal"],
+        [lambda p, w: anneal(p, SolverConfig(steps=3), w)],
+        ids=["anneal"],
     )
     def test_rejects_biased_problem(self, call):
         p = IsingProblem(J=np.array([[0.0, 1.0], [1.0, 0.0]]), b=[0.5, 0.0])
@@ -382,12 +379,8 @@ class TestBoundaryChecks:
 
     @pytest.mark.parametrize(
         "call, name",
-        [
-            (lambda p, w: cost(p, w, 0.5, 1.0), "w"),
-            (lambda p, w: gradient(p, w, 0.5, 1.0), "w"),
-            (lambda p, w: anneal(p, SolverConfig(steps=3), w), "w0"),
-        ],
-        ids=["cost", "gradient", "anneal"],
+        [(lambda p, w: anneal(p, SolverConfig(steps=3), w), "w0")],
+        ids=["anneal"],
     )
     @pytest.mark.parametrize("w", [np.zeros(3), np.zeros((2, 1)), 0.0], ids=["(3,)", "(2,1)", "()"])
     def test_rejects_wrong_shape(self, call, name, w, rng):
