@@ -13,7 +13,6 @@ systems in `lqa.oracle`, and a trial-batch benchmark harness in
 from .ising import (
     IsingProblem,
     ProblemFormatError,
-    QuboProblem,
     cut_value,
     load_instance,
     objective,
@@ -30,7 +29,6 @@ from .solver import (
 __all__ = [
     "IsingProblem",
     "ProblemFormatError",
-    "QuboProblem",
     "SolverConfig",
     "SolverError",
     "anneal",

@@ -60,6 +60,9 @@ class InstanceSpec:
         if self.file is None and any(getattr(self, k) is None for k in needs):
             names = " and ".join(needs)
             raise ValueError(f"instance {self.id!r}: generator {self.generator!r} needs {names}")
+        unused = [k for k in given[1:] if k not in needs]  # given[0] is the generator
+        if unused:
+            raise ValueError(f"instance {self.id!r}: generator {self.generator!r} takes no {unused[0]!r}")
         if self.n is not None and self.n < 2:
             raise ValueError(f"instance {self.id!r}: n must be >= 2")
         if self.n is not None and self.n > MAX_SPINS:

@@ -74,42 +74,18 @@ def _upper_tiles(n: int):
             yield slice(i, i + t), slice(j, j + t)
 
 
-def _check_coupling(J: np.ndarray, name: str = "J") -> np.ndarray:
+def _check_coupling(J: np.ndarray) -> np.ndarray:
     if J.ndim != 2 or J.shape[0] != J.shape[1]:
-        raise ProblemFormatError(f"{name} must be a square matrix, got shape {J.shape}")
+        raise ProblemFormatError(f"J must be a square matrix, got shape {J.shape}")
     # finite upper tiles equal to their mirrors' transposes make J finite and
     # symmetric; if not, J is scanned again to name a non-finite entry first
     tiles = _upper_tiles(len(J))
     if not all(np.isfinite(J[r, c]).all() and (J[r, c] == J[c, r].T).all() for r, c in tiles):
-        _check_finite(J, name)
-        raise ProblemFormatError(f"{name} must be symmetric")
+        _check_finite(J, "J")
+        raise ProblemFormatError("J must be symmetric")
     if np.any(np.diagonal(J) != 0.0):
-        raise ProblemFormatError(f"{name} must have zero diagonal (no self-couplings)")
+        raise ProblemFormatError("J must have zero diagonal (no self-couplings)")
     return J
-
-
-@dataclass(frozen=True)
-class QuboProblem:
-    """Quadratic objective x^T Q x + x^T a over binary 0/1 variables."""
-
-    Q: np.ndarray
-    a: np.ndarray
-
-    __setstate__ = _frozen_setstate
-
-    def __post_init__(self):
-        Q = _freeze(self.Q)
-        a = _freeze(self.a)
-        _check_coupling(Q, "Q")
-        if a.shape != (Q.shape[0],):
-            raise ProblemFormatError(f"a has shape {a.shape}, expected ({Q.shape[0]},)")
-        _check_finite(a, "a")
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "a", a)
-
-    @property
-    def n(self) -> int:
-        return self.Q.shape[0]
 
 
 @dataclass(frozen=True)
@@ -137,7 +113,7 @@ class IsingProblem:
 
     def __post_init__(self):
         J = _freeze(self.J)
-        _check_coupling(J, "J")
+        _check_coupling(J)
         b = self.b
         b = np.zeros(J.shape[0]) if b is None else np.asarray(b, dtype=np.float64)
         if b.shape != (J.shape[0],):
@@ -175,17 +151,36 @@ def as_spins(s) -> np.ndarray:
     return s
 
 
-def qubo_to_ising(q: QuboProblem) -> IsingProblem:
-    """Reduce a QUBO to an Ising problem via s = 2x - 1.
+def qubo_to_ising(Q, a) -> IsingProblem:
+    """Reduce the QUBO x^T Q x + x^T a over x in {0,1}^n to an Ising
+    problem via s = 2x - 1.
 
-    Returns J = Q/4, b = (a + Q.1)/2 and the constant offset making
-    x^T Q x + x^T a == s^T J s + s^T b + offset exactly for every
-    assignment.
+    Q is any finite square matrix and a a finite n-vector. The diagonal
+    of Q joins the linear term, since x_i^2 = x_i, and only the symmetric
+    part (Q + Q^T)/2 counts, computed exactly for a symmetric or a
+    triangular Q. With Q' that part, zero on the diagonal, and
+    a' = a + diag(Q), returns J = Q'/4, b = (a' + Q'.1)/2 and the offset
+    Q'.sum()/4 + a'.sum()/2, making
+    x^T Q x + x^T a == s^T J s + s^T b + offset for every assignment.
     """
-    J = q.Q / 4.0
+    Q = np.asarray(Q, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
+        raise ProblemFormatError(f"Q must be a square matrix, got shape {Q.shape}")
+    if a.shape != (len(Q),):
+        raise ProblemFormatError(f"a has shape {a.shape}, expected ({len(Q)},)")
+    _check_finite(Q, "Q")
+    _check_finite(a, "a")
+    a = a + np.diagonal(Q)
+    # the symmetric part's upper triangle, mirrored: exactly Q for a
+    # symmetric Q, and no term overflows (Q + Q^T would, above half the
+    # float max)
+    Q = np.triu(Q + (Q.T / 2.0 - Q / 2.0), 1)
+    Q = Q + Q.T
+    J = Q / 4.0
     J.setflags(write=False)  # fresh, so IsingProblem adopts it
-    b = (q.a + q.Q @ np.ones(q.n)) / 2.0
-    return IsingProblem(J=J, b=b, offset=q.Q.sum() / 4.0 + q.a.sum() / 2.0)
+    b = (a + Q @ np.ones(len(Q))) / 2.0
+    return IsingProblem(J=J, b=b, offset=Q.sum() / 4.0 + a.sum() / 2.0)
 
 
 def absorb_bias(p: IsingProblem) -> IsingProblem:
@@ -380,6 +375,8 @@ def _load_bulk(path) -> IsingProblem:
     if rows.size == 0:
         raise ValueError("no data rows")
     head, j, val = rows["head"], rows["j"], rows["val"]
+    if not np.isfinite(val).all():  # before J is allocated
+        raise ValueError("non-finite value")
     is_bias = head == b"b"
     bi, bval = j[is_bias], val[is_bias]
     ci, cj, cval = _parse_index(head[~is_bias]), j[~is_bias], val[~is_bias]
@@ -402,7 +399,6 @@ def _load_bulk(path) -> IsingProblem:
     J.setflags(write=False)  # fresh, so IsingProblem adopts it
     b = np.zeros(n)
     b[bi] = bval
-    # IsingProblem rejects a non-finite value with a ProblemFormatError
     return IsingProblem(J=J, b=b, **fields)
 
 

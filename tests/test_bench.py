@@ -360,6 +360,8 @@ class TestSpecFile:
             ({"instances": [{"id": "x", "generator": "nope"}]},
              "instance 'x': no file and unknown generator 'nope'"),
             ({"instances": [{"id": "x"}]}, "instance 'x': no file and unknown generator None"),
+            ({"instances": [{"id": "x", "generator": "pm1", "n": 4, "alpha": 0.5}]},
+             "instance 'x': generator 'pm1' takes no 'alpha'"),
         ],
         ids=[
             "unknown-key", "unknown-instance-key", "missing-id", "instances-not-list",
@@ -370,6 +372,7 @@ class TestSpecFile:
             "empty-id", "comma-in-id", "quote-in-id", "newline-in-id", "return-in-id",
             "nul-in-id", "slash-in-id", "non-ascii-id", "long-id",
             "file-and-generator", "file-and-n", "unknown-generator", "no-source",
+            "pm1-with-alpha",
         ],
     )
     def test_bad_spec_rejected(self, tmp_path, edit, message):

@@ -292,10 +292,13 @@ class TestBench:
             ({"instances": [{"id": "a", "generator": "pm1", "n": 4},
                             {"id": "x", "generator": "nope"}]},
              "instance 'x': no file and unknown generator 'nope'"),
+            # a key the generator does not take is not ignored
+            ({"instances": [{"id": "x", "generator": "pm1", "n": 4, "alpha": 0.5}]},
+             "instance 'x': generator 'pm1' takes no 'alpha'"),
         ],
         ids=[
             "unknown-key", "duplicate-id", "bad-setting", "unsafe-id", "file-and-generator",
-            "unknown-generator",
+            "unknown-generator", "pm1-with-alpha",
         ],
     )
     def test_bad_spec_exits_one(self, capsys, tmp_path, extra, message):
@@ -427,18 +430,19 @@ class TestStartup:
 
     def test_every_exported_name_resolves(self):
         assert sorted(lqa.__all__) == sorted([
-            "IsingProblem", "ProblemFormatError", "QuboProblem", "SolverConfig", "SolverError",
-            "anneal", "cut_value", "load_instance", "objective", "qubo_to_ising",
-            "save_instance", "solve",
+            "IsingProblem", "ProblemFormatError", "SolverConfig", "SolverError", "anneal",
+            "cut_value", "load_instance", "objective", "qubo_to_ising", "save_instance", "solve",
         ])
         for name in lqa.__all__:
             assert getattr(lqa, name).__name__ == name
         # the step functions and the bench, generators and oracle names are
-        # reached through their modules only
+        # reached through their modules only; a QUBO is two arrays
         for name in (
-            "cost", "gradient", "run_batch", "gen_wishart", "brute_force_ground", "no_such_name"
+            "cost", "gradient", "run_batch", "gen_wishart", "brute_force_ground", "QuboProblem",
+            "no_such_name",
         ):
             assert not hasattr(lqa, name)
+        assert not hasattr(lqa.ising, "QuboProblem")
 
     def test_every_traced_name_resolves(self):
         # the tracer skips a missing name, and its layer metrics would read 0

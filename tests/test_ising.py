@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from lqa import (
     IsingProblem,
     ProblemFormatError,
-    QuboProblem,
     cut_value,
     load_instance,
     objective,
@@ -34,48 +33,39 @@ def all_binary(n):
         yield np.array(bits, dtype=np.float64)
 
 
-def qubo_objective(q, x):
-    return float(x @ q.Q @ x + x @ q.a)
+def qubo_objective(Q, a, x):
+    return float(x @ Q @ x + x @ a)
 
 
 class TestProblemInvariants:
-    def test_rejects_asymmetric_Q(self):
-        Q = np.array([[0.0, 1.0], [2.0, 0.0]])
-        with pytest.raises(ProblemFormatError, match="symmetric"):
-            QuboProblem(Q=Q, a=np.zeros(2))
-
     @pytest.mark.parametrize(
-        "i, j, diagonal, name",
+        "i, j, diagonal",
         [
-            (10, 290, 0.0, "J"),
-            (290, 10, 0.0, "J"),
-            (0, 299, 0.0, "J"),
-            (257, 299, 0.0, "J"),
+            (10, 290, 0.0),
+            (290, 10, 0.0),
+            (0, 299, 0.0),
+            (257, 299, 0.0),
             # an asymmetric pair wins over a nonzero diagonal
-            (10, 290, 1.0, "J"),
-            (290, 10, 1.0, "Q"),
+            (10, 290, 1.0),
         ],
-        ids=["10-290", "290-10", "0-299", "257-299", "and-diagonal", "Q-and-diagonal"],
+        ids=["10-290", "290-10", "0-299", "257-299", "and-diagonal"],
     )
-    def test_rejects_one_asymmetric_entry_past_the_first_tile(self, rng, i, j, diagonal, name):
+    def test_rejects_one_asymmetric_entry_past_the_first_tile(self, rng, i, j, diagonal):
         # n = 300 spans two 256-wide tiles; (257, 299) lies in the last diagonal one
         J = random_symmetric(300, rng)
         J[i, j] += 1.0
         J[299, 299] = diagonal
-        with pytest.raises(ProblemFormatError, match=f"^{name} must be symmetric"):
-            if name == "Q":
-                QuboProblem(Q=J, a=np.zeros(300))
-            else:
-                IsingProblem(J=J)
+        with pytest.raises(ProblemFormatError, match="^J must be symmetric"):
+            IsingProblem(J=J)
 
     def test_accepts_symmetric_matrix_spanning_several_tiles(self, rng):
         J = random_symmetric(600, rng)
         assert np.array_equal(IsingProblem(J=J).J, J)
 
     def test_rejects_nonzero_diagonal(self):
-        Q = np.array([[1.0, 0.0], [0.0, 0.0]])
-        with pytest.raises(ProblemFormatError, match="diagonal"):
-            QuboProblem(Q=Q, a=np.zeros(2))
+        J = np.array([[1.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ProblemFormatError, match="^J must have zero diagonal"):
+            IsingProblem(J=J)
 
     def test_rejects_bad_bias_shape(self):
         with pytest.raises(ProblemFormatError):
@@ -87,8 +77,8 @@ class TestProblemInvariants:
             (lambda: IsingProblem(J=np.zeros((2, 2))), False),
             (lambda: IsingProblem(J=np.zeros((2, 2)), b=np.zeros(2)), False),
             (lambda: IsingProblem(J=np.zeros((2, 2)), b=np.array([0.0, -0.5])), True),
-            (lambda: qubo_to_ising(QuboProblem(Q=np.zeros((2, 2)), a=np.ones(2))), True),
-            (lambda: qubo_to_ising(QuboProblem(Q=np.zeros((2, 2)), a=np.zeros(2))), False),
+            (lambda: qubo_to_ising(np.zeros((2, 2)), np.ones(2)), True),
+            (lambda: qubo_to_ising(np.zeros((2, 2)), np.zeros(2)), False),
             (lambda: absorb_bias(IsingProblem(J=np.zeros((2, 2)), b=np.ones(2))), False),
             (lambda: dataclasses.replace(IsingProblem(J=np.zeros((2, 2))), b=np.ones(2)), True),
             (
@@ -111,8 +101,8 @@ class TestProblemInvariants:
         [
             lambda v: IsingProblem(J=np.array([[0.0, v], [v, 0.0]])),
             lambda v: IsingProblem(J=np.zeros((2, 2)), b=np.array([0.0, v])),
-            lambda v: QuboProblem(Q=np.array([[0.0, v], [v, 0.0]]), a=np.zeros(2)),
-            lambda v: QuboProblem(Q=np.zeros((2, 2)), a=np.array([v, 0.0])),
+            lambda v: qubo_to_ising(np.array([[0.0, v], [v, 0.0]]), np.zeros(2)),
+            lambda v: qubo_to_ising(np.zeros((2, 2)), np.array([v, 0.0])),
             lambda v: IsingProblem(J=np.zeros((2, 2)), ground_energy=v),
             lambda v: IsingProblem(J=np.zeros((2, 2)), offset=v),
             # n = 300: the entries lie in the second 256-row band
@@ -123,8 +113,8 @@ class TestProblemInvariants:
             lambda v: IsingProblem(J=_with_entries(300, {(290, 10): v})),
             lambda v: IsingProblem(J=_with_entries(300, {(0, 1): 1.0, (10, 290): v, (290, 10): v})),
             lambda v: IsingProblem(J=_with_entries(300, {(10, 290): v, (290, 10): v})),
-            lambda v: QuboProblem(
-                Q=_with_entries(300, {(290, 10): 1.0, (299, 5): v}), a=np.zeros(300)
+            lambda v: qubo_to_ising(
+                _with_entries(300, {(290, 10): 1.0, (299, 5): v}), np.zeros(300)
             ),
         ],
         ids=[
@@ -233,11 +223,11 @@ class TestOwnership:
         ids=["pickle", "deepcopy"],
     )
     def test_qubo_arrays_read_only_after_copy(self, derive):
-        q = derive(QuboProblem(Q=np.array([[0.0, 1.0], [1.0, 0.0]]), a=np.zeros(2)))
-        assert not q.Q.flags.writeable
-        assert not q.a.flags.writeable
+        p = derive(qubo_to_ising(np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2)))
+        assert not p.J.flags.writeable
+        assert not p.b.flags.writeable
         with pytest.raises(ValueError):
-            q.a[0] = 2.0
+            p.b[0] = 2.0
 
     @pytest.mark.parametrize(
         "build",
@@ -245,7 +235,7 @@ class TestOwnership:
             lambda path: gen_random_pm1(5, 1),
             lambda path: gen_wishart(6, 1.0, 0).problem,
             lambda path: absorb_bias(IsingProblem(J=np.zeros((3, 3)), b=[1.0, 0.0, 0.0])),
-            lambda path: qubo_to_ising(QuboProblem(Q=np.ones((3, 3)) - np.eye(3), a=np.zeros(3))),
+            lambda path: qubo_to_ising(np.ones((3, 3)), np.zeros(3)),
             lambda path: _load_bulk(path),
             lambda path: _load_lines(path),
         ],
@@ -338,54 +328,149 @@ class TestAtomicWrite:
 
 
 _COEF = st.floats(-1e3, 1e3, allow_nan=False) | st.sampled_from([0.0, 1.0, -1.0])
+_INT_COEF = st.integers(-1000, 1000).map(float)
 
 
 @st.composite
-def _quadratic(draw, max_n=6):
-    """A symmetric zero-diagonal n x n matrix and an n-vector, n <= max_n."""
+def _quadratic(draw, max_n=6, form="symmetric", coef=_COEF):
+    """An n x n matrix and an n-vector, n <= max_n. The matrix is symmetric
+    with zero diagonal, upper-triangular with its diagonal, or any square
+    matrix, as form says."""
     n = draw(st.integers(1, max_n))
-    iu = np.triu_indices(n, k=1)
-    M = np.zeros((n, n))
-    M[iu] = draw(st.lists(_COEF, min_size=len(iu[0]), max_size=len(iu[0])))
-    M.T[iu] = M[iu]
-    return M, np.array(draw(st.lists(_COEF, min_size=n, max_size=n)))
+
+    def entries(size):
+        return np.array(draw(st.lists(coef, min_size=size, max_size=size)), dtype=np.float64)
+
+    if form == "general":
+        M = entries(n * n).reshape(n, n)
+    else:
+        iu = np.triu_indices(n, k=1 if form == "symmetric" else 0)
+        M = np.zeros((n, n))
+        M[iu] = entries(len(iu[0]))
+        if form == "symmetric":
+            M.T[iu] = M[iu]
+    return M, entries(n)
+
+
+def _reduced_as_before(Q, a):
+    """The reduction of a symmetric zero-diagonal Q, the only form accepted
+    before a diagonal and an asymmetric Q were: J, b and offset."""
+    return Q / 4.0, (a + Q @ np.ones(len(Q))) / 2.0, Q.sum() / 4.0 + a.sum() / 2.0
 
 
 class TestQuboToIsing:
     def test_zero_problem(self):
-        q = QuboProblem(Q=np.zeros((2, 2)), a=np.zeros(2))
-        p = qubo_to_ising(q)
+        p = qubo_to_ising(np.zeros((2, 2)), np.zeros(2))
         assert np.all(p.J == 0) and np.all(p.b == 0) and p.offset == 0
 
     def test_documented_small_case(self):
-        q = QuboProblem(Q=np.array([[0.0, 4.0], [4.0, 0.0]]), a=np.zeros(2))
-        p = qubo_to_ising(q)
+        Q, a = np.array([[0.0, 4.0], [4.0, 0.0]]), np.zeros(2)
+        p = qubo_to_ising(Q, a)
         assert np.array_equal(p.J, [[0, 1], [1, 0]])
         assert np.array_equal(p.b, [2, 2])
         for x in all_binary(2):
             s = 2 * x - 1
-            assert qubo_objective(q, x) == pytest.approx(objective(p, s) + p.offset, abs=1e-12)
+            assert qubo_objective(Q, a, x) == pytest.approx(objective(p, s) + p.offset, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "Q, a",
+        [
+            # x0 + 2 x1 - 3 x0 x1, as a triangle with the linear terms on the diagonal
+            ([[1.0, -3.0], [0.0, 2.0]], [0.0, 0.0]),
+            # the same QUBO with its terms split otherwise between Q's
+            # diagonal and a, and between the two triangles
+            ([[0.0, -1.0], [-2.0, 0.0]], [1.0, 2.0]),
+            ([[3.0, -1.5], [-1.5, -1.0]], [-2.0, 3.0]),
+        ],
+        ids=["triangle", "asymmetric", "symmetric-with-diagonal"],
+    )
+    def test_equal_qubos_reduce_to_one_problem(self, Q, a):
+        p = qubo_to_ising(Q, a)
+        assert np.array_equal(p.J, [[0.0, -0.375], [-0.375, 0.0]])
+        assert np.array_equal(p.b, [-0.25, 0.25])
+        assert p.offset == 0.75
+
+    def test_opposite_entries_near_float_max_cancel(self):
+        # Q^T - Q would overflow; the symmetric part is zero
+        p = qubo_to_ising(np.array([[0.0, 1e308], [-1e308, 0.0]]), np.zeros(2))
+        assert not p.J.any() and not p.b.any() and p.offset == 0.0
+
+    def test_inputs_are_not_written(self):
+        # read-only, so a write would raise
+        qubo_to_ising(_read_only(np.array([[1.0, 2.0], [0.0, 3.0]])), _read_only(np.ones(2)))
+
+    @pytest.mark.parametrize(
+        "Q, a, message",
+        [
+            (np.zeros((2, 3)), np.zeros(2), r"^Q must be a square matrix, got shape \(2, 3\)$"),
+            (np.zeros(4), np.zeros(4), r"^Q must be a square matrix, got shape \(4,\)$"),
+            (np.zeros((2, 2)), np.zeros(3), r"^a has shape \(3,\), expected \(2,\)$"),
+            (np.zeros((2, 2)), np.zeros((2, 1)), r"^a has shape \(2, 1\), expected \(2,\)$"),
+            (np.diag([1.0, np.nan]), np.zeros(2), r"^Q has non-finite entries"),
+            (np.zeros((2, 2)), np.array([0.0, -np.inf]), r"^a has non-finite entries"),
+        ],
+        ids=["non-square-Q", "1-d-Q", "short-a", "2-d-a", "non-finite-Q", "non-finite-a"],
+    )
+    def test_rejects_bad_input(self, Q, a, message):
+        with pytest.raises(ProblemFormatError, match=message):
+            qubo_to_ising(Q, a)
 
     def test_objective_identity_exhaustive(self, rng):
         n = 6
-        q = QuboProblem(Q=random_symmetric(n, rng, 3.0), a=rng.uniform(-2, 2, n))
-        p = qubo_to_ising(q)
-        scale = np.abs(q.Q).sum() + np.abs(q.a).sum()
+        Q, a = random_symmetric(n, rng, 3.0), rng.uniform(-2, 2, n)
+        p = qubo_to_ising(Q, a)
+        scale = np.abs(Q).sum() + np.abs(a).sum()
         for x in all_binary(n):
             s = 2 * x - 1
-            assert qubo_objective(q, x) == pytest.approx(
+            assert qubo_objective(Q, a, x) == pytest.approx(
                 objective(p, s) + p.offset, abs=1e-9 * scale
             )
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(qa=_quadratic())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(qa=st.sampled_from(["symmetric", "triangular", "general"]).flatmap(
+        lambda form: _quadratic(form=form)
+    ))
     def test_objective_identity_property(self, qa):
         Q, a = qa
-        q = QuboProblem(Q=Q, a=a)
-        p = qubo_to_ising(q)
+        p = qubo_to_ising(Q, a)
         tol = 1e-12 * (np.abs(Q).sum() + np.abs(a).sum())
-        for x in all_binary(q.n):
-            assert abs(objective(p, 2 * x - 1) + p.offset - qubo_objective(q, x)) <= tol
+        for x in all_binary(len(Q)):
+            assert abs(objective(p, 2 * x - 1) + p.offset - qubo_objective(Q, a, x)) <= tol
+
+    @pytest.mark.parametrize("form", ["triangular", "general"])
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_objective_identity_exact_for_integer_q(self, form, data):
+        # halves, quarters and eighths of integers: every sum is exact
+        Q, a = data.draw(_quadratic(form=form, coef=_INT_COEF))
+        p = qubo_to_ising(Q, a)
+        for x in all_binary(len(Q)):
+            assert objective(p, 2 * x - 1) + p.offset == qubo_objective(Q, a, x)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(qa=_quadratic(max_n=12))
+    def test_symmetric_zero_diagonal_q_reduces_as_before(self, qa):
+        Q, a = qa
+        p = qubo_to_ising(Q, a)
+        J, b, offset = _reduced_as_before(Q, a)
+        assert np.array_equal(p.J, J) and np.array_equal(p.b, b) and p.offset == offset
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            # 300 spans two validation tiles and a blocked matrix-vector product
+            lambda rng: (random_symmetric(300, rng, 3.0), rng.uniform(-2, 2, 300)),
+            # Q + Q^T would overflow; the rows and the sum cancel
+            lambda rng: (_with_entries(3, {(0, 1): 1e308, (1, 0): 1e308, (0, 2): -1e308,
+                                           (2, 0): -1e308}), np.zeros(3)),
+        ],
+        ids=["n-300", "near-float-max"],
+    )
+    def test_fixed_symmetric_q_reduces_as_before(self, rng, make):
+        Q, a = make(rng)
+        p = qubo_to_ising(Q, a)
+        J, b, offset = _reduced_as_before(Q, a)
+        assert np.array_equal(p.J, J) and np.array_equal(p.b, b) and p.offset == offset
 
 
 class TestAbsorbBias:
@@ -504,7 +589,7 @@ class TestInstanceFormat:
         assert load_instance(f).ground_energy == -3.0
 
     def test_qubo_offset_round_trip(self, tmp_path):
-        p = qubo_to_ising(QuboProblem(Q=np.array([[0.0, 1.0], [1.0, 0.0]]), a=np.array([3.0, -2.0])))
+        p = qubo_to_ising(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([3.0, -2.0]))
         assert p.offset == 1.0
         f = tmp_path / "p.txt"
         save_instance(p, f)
@@ -610,6 +695,24 @@ class TestInstanceFormat:
         finally:
             tracemalloc.stop()
         assert peak <= 3.6 * p.J.nbytes
+
+    @pytest.mark.parametrize(
+        "row, message", [("1 2 nan", "non-finite coupling nan"), ("b 1 -inf", "non-finite bias -inf")]
+    )
+    def test_non_finite_file_rejected_before_j_is_allocated(self, tmp_path, row, message):
+        # the dense J of this file would take 4000**2 * 8 = 128 MB
+        f = tmp_path / "p.txt"
+        f.write_text(f"# n: 4000\n0 1 1.0\n{row}\n")
+        with pytest.raises(ProblemFormatError):
+            load_instance(f)  # warm-up
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProblemFormatError, match=f"^{re.escape(str(f))}:3: {message}$"):
+                load_instance(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4000 * 4000 * 8 / 256
 
     def test_save_peak_memory_bounded(self, tmp_path):
         # one row's lines at a time, never the whole file
@@ -876,6 +979,15 @@ class TestBulkParser:
         f = tmp_path_factory.mktemp("bad") / "p.txt"
         f.write_bytes(text.encode("utf-8"))
         with pytest.raises(ProblemFormatError, match=r"p\.txt:\d+: "):
+            load_instance(f)
+
+    # the property above draws a table row in only one of its branches, so
+    # each row also gets a fixed file
+    @pytest.mark.parametrize("row", _MALFORMED_ROWS)
+    def test_each_malformed_row_named_by_line(self, tmp_path, row):
+        f = tmp_path / "p.txt"
+        f.write_text(f"# well-formed\n2 3 0.5\n{row}\nb 2 -1.0\n", encoding="utf-8")
+        with pytest.raises(ProblemFormatError, match=f"^{re.escape(str(f))}:3: "):
             load_instance(f)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
