@@ -22,7 +22,6 @@ from .ising import (
 from .solver import (
     SolverConfig,
     SolverError,
-    anneal,
     solve,
 )
 
@@ -31,7 +30,6 @@ __all__ = [
     "ProblemFormatError",
     "SolverConfig",
     "SolverError",
-    "anneal",
     "cut_value",
     "load_instance",
     "objective",

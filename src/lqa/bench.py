@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
-import math
 import os
 import time
 import typing
@@ -19,7 +18,7 @@ from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
-from .generators import gen_random_pm1, gen_wishart
+from .generators import gen_random_pm1, gen_wishart, wishart_columns
 from .ising import MAX_SPINS, IsingProblem, graph_total_weight, load_instance, write_csv
 from .solver import SolverConfig, SolverError, TrialTrace, solve
 
@@ -38,7 +37,7 @@ class InstanceSpec:
     generator: str | None = None
     n: int | None = None
     alpha: float | None = None
-    gen_seed: int = 0
+    gen_seed: int | None = None  # 0 for a generated instance that names none
     step_size: float | None = None  # per-instance override
     maxcut: bool = False
 
@@ -52,7 +51,7 @@ class InstanceSpec:
         if len(self.id) > ID_MAX:
             raise ValueError(f"instance {self.id!r}: id is longer than {ID_MAX} characters")
         needs = {"pm1": ("n",), "wishart": ("n", "alpha")}.get(self.generator)
-        given = [k for k in ("generator", "n", "alpha") if getattr(self, k) is not None]
+        given = [k for k in ("generator", "n", "alpha", "gen_seed") if getattr(self, k) is not None]
         if self.file is not None and given:
             raise ValueError(f"instance {self.id!r}: a file takes no {given[0]!r}")
         if self.file is None and needs is None:
@@ -60,7 +59,7 @@ class InstanceSpec:
         if self.file is None and any(getattr(self, k) is None for k in needs):
             names = " and ".join(needs)
             raise ValueError(f"instance {self.id!r}: generator {self.generator!r} needs {names}")
-        unused = [k for k in given[1:] if k not in needs]  # given[0] is the generator
+        unused = [k for k in given if k not in ("generator", *needs, "gen_seed")]
         if unused:
             raise ValueError(f"instance {self.id!r}: generator {self.generator!r} takes no {unused[0]!r}")
         if self.n is not None and self.n < 2:
@@ -69,10 +68,15 @@ class InstanceSpec:
             raise ValueError(
                 f"instance {self.id!r}: n {self.n} is above the cap of {MAX_SPINS} spins"
             )
-        if self.alpha is not None and not 0.0 < self.alpha < math.inf:
-            raise ValueError(f"instance {self.id!r}: alpha must be > 0 and finite")
-        if self.gen_seed < 0:
-            raise ValueError(f"instance {self.id!r}: gen_seed must be >= 0")
+        if self.alpha is not None:
+            try:
+                wishart_columns(self.n, self.alpha)
+            except ValueError as exc:
+                raise ValueError(f"instance {self.id!r}: {exc}") from None
+        if self.file is None:
+            object.__setattr__(self, "gen_seed", self.gen_seed or 0)
+            if self.gen_seed < 0:
+                raise ValueError(f"instance {self.id!r}: gen_seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 
 # `solve` needs only these; the other commands import their modules
 # themselves, so start-up stays short
-from .ising import MAX_SPINS, ProblemFormatError, atomic_write, load_instance, save_instance
+from .ising import MAX_SPINS, atomic_write, load_instance, save_instance
 from .solver import OPTIMIZERS, SolverConfig, SolverError, solve
 
 EXIT_OK = 0
@@ -61,7 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="generate an instance file")
     p_gen.add_argument("family", choices=("pm1", "wishart"), help="instance family")
     p_gen.add_argument("--n", type=int, required=True, help="number of spins")
-    p_gen.add_argument("--alpha", type=float, default=1.0, help="Wishart aspect ratio m/n")
+    # None, not 1.0, so a pm1 run can tell that --alpha was given
+    p_gen.add_argument("--alpha", type=float, default=None,
+                       help="Wishart aspect ratio m/n (default 1.0)")
     p_gen.add_argument("--seed", type=int, default=None, help="RNG seed (random if omitted)")
     p_gen.add_argument("--out", required=True, help="output instance path")
 
@@ -127,14 +129,17 @@ def _cmd_generate(args) -> int:
     # the loader's cap: a larger problem makes a file lqa cannot read
     if args.n > MAX_SPINS:
         raise ValueError(f"n {args.n} is above the cap of {MAX_SPINS} spins")
+    if args.family == "pm1" and args.alpha is not None:
+        raise ValueError("pm1 takes no --alpha")
     seed = _pick_seed(args.seed)
     if args.family == "pm1":
         problem = gen_random_pm1(args.n, seed)
         meta = [f"generator: pm1 n={args.n} seed={seed}"]
     else:
-        inst = gen_wishart(args.n, args.alpha, seed)
+        alpha = 1.0 if args.alpha is None else args.alpha
+        inst = gen_wishart(args.n, alpha, seed)
         problem = inst.problem
-        meta = [f"generator: wishart n={args.n} alpha={args.alpha!r} seed={seed}"]
+        meta = [f"generator: wishart n={args.n} alpha={alpha!r} seed={seed}"]
     save_instance(problem, args.out, header_comments=meta)
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -194,7 +199,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ProblemFormatError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"lqa: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SolverError as exc:

@@ -63,6 +63,19 @@ def gen_random_pm1(n: int, seed) -> IsingProblem:
     return IsingProblem(J=J)
 
 
+def wishart_columns(n: int, alpha: float) -> int:
+    """The column count m = round(alpha * n) of a Wishart instance's W.
+    Raises ValueError for an alpha that is not above 0 and finite, or
+    one that leaves no column."""
+    # False for nan, and round(inf * n) would raise OverflowError
+    if not 0.0 < alpha < math.inf:
+        raise ValueError("alpha must be > 0 and finite")
+    m = round(alpha * n)
+    if m < 1:
+        raise ValueError(f"alpha * n rounds to {m} columns; need at least 1")
+    return m
+
+
 def gen_wishart(n: int, alpha: float, seed) -> PlantedInstance:
     """Wishart planted instance with ground states +-planted.
 
@@ -75,12 +88,7 @@ def gen_wishart(n: int, alpha: float, seed) -> PlantedInstance:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    # False for nan, and round(inf * n) would raise OverflowError
-    if not 0.0 < alpha < math.inf:
-        raise ValueError("alpha must be > 0 and finite")
-    m = round(alpha * n)
-    if m < 1:
-        raise ValueError(f"alpha * n rounds to {m} columns; need at least 1")
+    m = wishart_columns(n, alpha)
     rng = np.random.default_rng(seed)
     t = rng.choice([-1.0, 1.0], size=n)
     W = rng.standard_normal((n, m))

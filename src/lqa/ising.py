@@ -43,16 +43,6 @@ def _freeze(arr) -> np.ndarray:
     return arr
 
 
-def _frozen_setstate(self, state: dict) -> None:
-    # pickle (how spawn and forkserver pool workers receive a problem) and
-    # deepcopy rebuild each array writable and private to the new problem,
-    # so freeze it in place, not copy it
-    for name, value in state.items():
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-        object.__setattr__(self, name, value)
-
-
 _SYMMETRY_TILE = 256
 
 
@@ -74,9 +64,11 @@ def _upper_tiles(n: int):
             yield slice(i, i + t), slice(j, j + t)
 
 
-def _check_coupling(J: np.ndarray) -> np.ndarray:
+def _check_coupling(J: np.ndarray) -> None:
     if J.ndim != 2 or J.shape[0] != J.shape[1]:
         raise ProblemFormatError(f"J must be a square matrix, got shape {J.shape}")
+    if len(J) == 0:
+        raise ProblemFormatError("J must have at least one spin")
     # finite upper tiles equal to their mirrors' transposes make J finite and
     # symmetric; if not, J is scanned again to name a non-finite entry first
     tiles = _upper_tiles(len(J))
@@ -85,7 +77,6 @@ def _check_coupling(J: np.ndarray) -> np.ndarray:
         raise ProblemFormatError("J must be symmetric")
     if np.any(np.diagonal(J) != 0.0):
         raise ProblemFormatError("J must have zero diagonal (no self-couplings)")
-    return J
 
 
 @dataclass(frozen=True)
@@ -109,8 +100,6 @@ class IsingProblem:
     offset: float = 0.0
     ground_energy: float | None = None
 
-    __setstate__ = _frozen_setstate
-
     def __post_init__(self):
         J = _freeze(self.J)
         _check_coupling(J)
@@ -119,18 +108,26 @@ class IsingProblem:
         if b.shape != (J.shape[0],):
             raise ProblemFormatError(f"b has shape {b.shape}, expected ({J.shape[0]},)")
         _check_finite(b, "b")
+        # Python floats, in messages and files: numpy 2 writes a numpy
+        # scalar's repr as np.float64(...)
         if self.ground_energy is not None and not math.isfinite(self.ground_energy):
-            raise ProblemFormatError(f"non-finite ground_energy {self.ground_energy!r}")
+            raise ProblemFormatError(f"non-finite ground_energy {float(self.ground_energy)!r}")
         if not math.isfinite(self.offset):
-            raise ProblemFormatError(f"non-finite offset {self.offset!r}")
-        # Python floats: numpy 2 writes a numpy scalar's repr as np.float64(...)
+            raise ProblemFormatError(f"non-finite offset {float(self.offset)!r}")
         if self.ground_energy is not None:
             object.__setattr__(self, "ground_energy", float(self.ground_energy))
         object.__setattr__(self, "offset", float(self.offset))
         object.__setattr__(self, "J", J)
         object.__setattr__(self, "b", _freeze(b))
-        # b is frozen, so scan it once here rather than on every solver step
-        object.__setattr__(self, "_has_bias", bool(np.any(self.b != 0.0)))
+
+    def __setstate__(self, state: dict) -> None:
+        # pickle (how spawn and forkserver pool workers receive a problem) and
+        # deepcopy rebuild each array writable and private to the new problem,
+        # so freeze it in place, not copy it
+        for name, value in state.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -138,7 +135,7 @@ class IsingProblem:
 
     @property
     def has_bias(self) -> bool:
-        return self._has_bias
+        return bool(self.b.any())
 
 
 def as_spins(s) -> np.ndarray:
@@ -171,16 +168,22 @@ def qubo_to_ising(Q, a) -> IsingProblem:
         raise ProblemFormatError(f"a has shape {a.shape}, expected ({len(Q)},)")
     _check_finite(Q, "Q")
     _check_finite(a, "a")
-    a = a + np.diagonal(Q)
-    # the symmetric part's upper triangle, mirrored: exactly Q for a
-    # symmetric Q, and no term overflows (Q + Q^T would, above half the
-    # float max)
-    Q = np.triu(Q + (Q.T / 2.0 - Q / 2.0), 1)
-    Q = Q + Q.T
+    # the sums into b and the offset may overflow (inf, or nan from
+    # inf - inf); both are checked once, below
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = a + np.diagonal(Q)
+        # the symmetric part's upper triangle, mirrored: exactly Q for a
+        # symmetric Q, and no term overflows (Q + Q^T would, above half
+        # the float max)
+        Q = np.triu(Q + (Q.T / 2.0 - Q / 2.0), 1)
+        Q = Q + Q.T
+        b = (a + Q @ np.ones(len(Q))) / 2.0
+        offset = Q.sum() / 4.0 + a.sum() / 2.0
+    if not (np.isfinite(b).all() and math.isfinite(offset)):
+        raise ProblemFormatError("Q and a reduce to a non-finite bias or offset")
     J = Q / 4.0
     J.setflags(write=False)  # fresh, so IsingProblem adopts it
-    b = (a + Q @ np.ones(len(Q))) / 2.0
-    return IsingProblem(J=J, b=b, offset=Q.sum() / 4.0 + a.sum() / 2.0)
+    return IsingProblem(J=J, b=b, offset=offset)
 
 
 def absorb_bias(p: IsingProblem) -> IsingProblem:

@@ -12,7 +12,6 @@ import pytest
 
 from lqa import (
     SolverConfig,
-    anneal,
     cut_value,
     objective,
 )
@@ -20,7 +19,7 @@ from lqa.bench import BenchSpec, InstanceSpec, run_batch, summarize
 from lqa.generators import gen_random_pm1, gen_wishart
 from lqa.oracle import brute_force_ground
 from lqa.ising import graph_total_weight
-from lqa.solver import gradient, init_weights
+from lqa.solver import anneal, gradient, init_weights
 from lqa.cli import main as cli_main
 from conftest import finite_difference_gradient, random_ising
 

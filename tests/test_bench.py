@@ -362,6 +362,10 @@ class TestSpecFile:
             ({"instances": [{"id": "x"}]}, "instance 'x': no file and unknown generator None"),
             ({"instances": [{"id": "x", "generator": "pm1", "n": 4, "alpha": 0.5}]},
              "instance 'x': generator 'pm1' takes no 'alpha'"),
+            ({"instances": [{"id": "w", "generator": "wishart", "n": 2, "alpha": 0.1}]},
+             "instance 'w': alpha \\* n rounds to 0 columns; need at least 1"),
+            ({"instances": [{"id": "x", "file": "a.txt", "gen_seed": 3}]},
+             "instance 'x': a file takes no 'gen_seed'"),
         ],
         ids=[
             "unknown-key", "unknown-instance-key", "missing-id", "instances-not-list",
@@ -372,7 +376,7 @@ class TestSpecFile:
             "empty-id", "comma-in-id", "quote-in-id", "newline-in-id", "return-in-id",
             "nul-in-id", "slash-in-id", "non-ascii-id", "long-id",
             "file-and-generator", "file-and-n", "unknown-generator", "no-source",
-            "pm1-with-alpha",
+            "pm1-with-alpha", "wishart-without-columns", "file-with-gen-seed",
         ],
     )
     def test_bad_spec_rejected(self, tmp_path, edit, message):
@@ -385,6 +389,10 @@ class TestSpecFile:
 
     def test_longest_id_accepted(self):
         assert InstanceSpec(id="x" * ID_MAX, generator="pm1", n=4).id == "x" * ID_MAX
+
+    def test_gen_seed_defaults_to_zero_for_a_generator_only(self):
+        assert InstanceSpec(id="a", generator="pm1", n=4).gen_seed == 0
+        assert InstanceSpec(id="a", file="a.txt").gen_seed is None
 
     def test_wrong_version_rejected(self, tmp_path):
         spec_path = tmp_path / "spec.json"

@@ -191,6 +191,17 @@ class TestGenerate:
         ]
         assert len(coupling_lines) == 40 * 39 // 2
 
+    def test_wishart_alpha_defaults_to_one(self, capsys, tmp_path):
+        files = [tmp_path / "default.txt", tmp_path / "given.txt"]
+        for path, alpha in zip(files, [[], ["--alpha", "1.0"]]):
+            code, _, _ = run_cli(
+                capsys, "generate", "wishart", "--n", "8", *alpha, "--seed", "3", "--out", str(path)
+            )
+            assert code == 0
+        text = files[0].read_text()
+        assert text.startswith("# generator: wishart n=8 alpha=1.0 seed=3\n")
+        assert text == files[1].read_text()
+
     def test_bad_n_rejected_before_writing(self, capsys, tmp_path, monkeypatch):
         real = lqa.generators.gen_random_pm1
 
@@ -209,9 +220,12 @@ class TestGenerate:
              "alpha must be > 0 and finite"),
             (["pm1", "--n", "10", "--seed", "-1"], "seed must be >= 0"),
             (["pm1", "--n", "16385", "--seed", "1"], "n 16385 is above the cap of 16384 spins"),
+            (["pm1", "--n", "4", "--alpha", "0.5", "--seed", "1"], "pm1 takes no --alpha"),
+            # no seed drawn and printed either
+            (["pm1", "--n", "4", "--alpha", "0.5"], "pm1 takes no --alpha"),
         ]:
-            code, _, err = run_cli(capsys, "generate", *argv, "--out", str(out_path))
-            assert (code, err) == (1, f"lqa: error: {message}\n"), argv
+            code, out, err = run_cli(capsys, "generate", *argv, "--out", str(out_path))
+            assert (code, out, err) == (1, "", f"lqa: error: {message}\n"), argv
             assert not out_path.exists()
 
 
@@ -295,10 +309,17 @@ class TestBench:
             # a key the generator does not take is not ignored
             ({"instances": [{"id": "x", "generator": "pm1", "n": 4, "alpha": 0.5}]},
              "instance 'x': generator 'pm1' takes no 'alpha'"),
+            # known from the spec, so no earlier instance is built first
+            ({"instances": [{"id": "a", "generator": "pm1", "n": 4},
+                            {"id": "w", "generator": "wishart", "n": 2, "alpha": 0.1}]},
+             "instance 'w': alpha * n rounds to 0 columns; need at least 1"),
+            ({"instances": [{"id": "x", "file": "a.txt", "gen_seed": 3}]},
+             "instance 'x': a file takes no 'gen_seed'"),
         ],
         ids=[
             "unknown-key", "duplicate-id", "bad-setting", "unsafe-id", "file-and-generator",
-            "unknown-generator", "pm1-with-alpha",
+            "unknown-generator", "pm1-with-alpha", "wishart-without-columns",
+            "file-with-gen-seed",
         ],
     )
     def test_bad_spec_exits_one(self, capsys, tmp_path, extra, message):
@@ -430,16 +451,16 @@ class TestStartup:
 
     def test_every_exported_name_resolves(self):
         assert sorted(lqa.__all__) == sorted([
-            "IsingProblem", "ProblemFormatError", "SolverConfig", "SolverError", "anneal",
-            "cut_value", "load_instance", "objective", "qubo_to_ising", "save_instance", "solve",
+            "IsingProblem", "ProblemFormatError", "SolverConfig", "SolverError", "cut_value",
+            "load_instance", "objective", "qubo_to_ising", "save_instance", "solve",
         ])
         for name in lqa.__all__:
             assert getattr(lqa, name).__name__ == name
-        # the step functions and the bench, generators and oracle names are
-        # reached through their modules only; a QUBO is two arrays
+        # the anneal kernel, the step functions and the bench, generators and
+        # oracle names are reached through their modules only; a QUBO is two arrays
         for name in (
-            "cost", "gradient", "run_batch", "gen_wishart", "brute_force_ground", "QuboProblem",
-            "no_such_name",
+            "anneal", "cost", "gradient", "run_batch", "gen_wishart", "brute_force_ground",
+            "QuboProblem", "no_such_name",
         ):
             assert not hasattr(lqa, name)
         assert not hasattr(lqa.ising, "QuboProblem")
@@ -453,6 +474,17 @@ class TestStartup:
         assert tracer.WRAPPED
         for module, attribute, *_ in tracer.WRAPPED:
             assert callable(getattr(importlib.import_module(module), attribute)), (module, attribute)
+
+    def test_readme_exports_table_is_all(self):
+        # README's count and rows of the exported names, against lqa.__all__
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        count, table = re.search(
+            r"^The (\d+) names in `lqa\.__all__`.*\n\n((?:\|.*\n)+)", readme, re.M
+        ).groups()
+        rows = re.findall(r"^\| `(\w+)` \|", table, re.M)
+        assert len(table.splitlines()) == 2 + len(rows)  # a header and a rule
+        assert sorted(rows) == sorted(lqa.__all__)
+        assert int(count) == len(lqa.__all__)
 
     def test_star_import_binds_every_exported_name(self):
         namespace = {}

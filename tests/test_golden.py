@@ -19,10 +19,10 @@ import numpy as np
 import pytest
 
 import lqa
-from lqa import IsingProblem, SolverConfig, anneal, save_instance
+from lqa import IsingProblem, SolverConfig, save_instance
 from lqa.generators import gen_random_pm1, gen_wishart
 from lqa.oracle import brute_force_ground
-from lqa.solver import init_weights
+from lqa.solver import anneal, init_weights
 from conftest import random_ising, random_symmetric
 
 # (n, optimizer) -> (spins, trace costs, trace energies)

@@ -71,6 +71,30 @@ class TestProblemInvariants:
         with pytest.raises(ProblemFormatError):
             IsingProblem(J=np.zeros((2, 2)), b=np.zeros(3))
 
+    @pytest.mark.parametrize("b", [None, np.zeros(0)], ids=["no-b", "empty-b"])
+    def test_rejects_no_spins(self, b):
+        # solve, save_instance and load_instance all need a spin
+        with pytest.raises(ProblemFormatError, match="^J must have at least one spin$"):
+            IsingProblem(J=np.zeros((0, 0)), b=b)
+
+    @pytest.mark.parametrize("name", ["ground_energy", "offset"])
+    def test_non_finite_scalar_named_as_python_float(self, name):
+        with pytest.raises(ProblemFormatError, match=f"^non-finite {name} inf$"):
+            IsingProblem(J=np.zeros((2, 2)), **{name: np.float64(np.inf)})
+
+    @pytest.mark.parametrize(
+        "derive",
+        [lambda p: p, lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy],
+        ids=["built", "pickle", "deepcopy"],
+    )
+    @pytest.mark.parametrize(
+        "b, expected", [([0.0, 0.0], False), ([0.0, -0.5], True)], ids=["unbiased", "biased"]
+    )
+    def test_state_is_the_four_fields(self, derive, b, expected):
+        p = derive(IsingProblem(J=np.zeros((2, 2)), b=b, ground_energy=-1.0))
+        assert set(vars(p)) == {"J", "b", "offset", "ground_energy"}
+        assert p.has_bias is expected
+
     @pytest.mark.parametrize(
         "make, expected",
         [
@@ -358,6 +382,9 @@ def _reduced_as_before(Q, a):
     return Q / 4.0, (a + Q @ np.ones(len(Q))) / 2.0, Q.sum() / 4.0 + a.sum() / 2.0
 
 
+_OVERFLOW = r"^Q and a reduce to a non-finite bias or offset$"
+
+
 class TestQuboToIsing:
     def test_zero_problem(self):
         p = qubo_to_ising(np.zeros((2, 2)), np.zeros(2))
@@ -408,8 +435,18 @@ class TestQuboToIsing:
             (np.zeros((2, 2)), np.zeros((2, 1)), r"^a has shape \(2, 1\), expected \(2,\)$"),
             (np.diag([1.0, np.nan]), np.zeros(2), r"^Q has non-finite entries"),
             (np.zeros((2, 2)), np.array([0.0, -np.inf]), r"^a has non-finite entries"),
+            # finite inputs whose reduced bias or offset overflows
+            (np.full((3, 3), 1e308), np.zeros(3), _OVERFLOW),
+            (np.zeros((2, 2)), np.array([1e308, 1e308]), _OVERFLOW),
+            # a' = a + diag(Q) is +inf and Q'.1 is -inf, so b_0 is nan
+            (_with_entries(3, {(0, 0): 1e308, (0, 1): -1e308, (1, 0): -1e308,
+                               (0, 2): -1e308, (2, 0): -1e308}),
+             np.array([1e308, 0.0, 0.0]), _OVERFLOW),
         ],
-        ids=["non-square-Q", "1-d-Q", "short-a", "2-d-a", "non-finite-Q", "non-finite-a"],
+        ids=[
+            "non-square-Q", "1-d-Q", "short-a", "2-d-a", "non-finite-Q", "non-finite-a",
+            "bias-overflows", "offset-overflows", "bias-is-inf-minus-inf",
+        ],
     )
     def test_rejects_bad_input(self, Q, a, message):
         with pytest.raises(ProblemFormatError, match=message):

@@ -136,8 +136,8 @@ class TestBruteForce:
         assert mins.shape == (0, 4)
 
     def test_lower_bounds_any_solver_output(self, rng):
-        from lqa import SolverConfig, anneal
-        from lqa.solver import init_weights
+        from lqa import SolverConfig
+        from lqa.solver import anneal, init_weights
 
         p = random_ising(12, rng)
         e0, _ = brute_force_ground(p)

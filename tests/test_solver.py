@@ -10,7 +10,6 @@ from lqa import (
     IsingProblem,
     SolverConfig,
     SolverError,
-    anneal,
     objective,
     solve,
 )
@@ -21,6 +20,7 @@ from lqa.solver import (
     ADAM_EPS,
     HALF_PI,
     TrialTrace,
+    anneal,
     cost,
     gradient,
     init_weights,
