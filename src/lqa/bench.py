@@ -18,8 +18,8 @@ from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
-from .generators import gen_random_pm1, gen_wishart, wishart_columns
-from .ising import MAX_SPINS, IsingProblem, graph_total_weight, load_instance, write_csv
+from .generators import FAMILIES, check_args, generate
+from .ising import IsingProblem, graph_total_weight, load_instance, write_csv
 from .solver import SolverConfig, SolverError, TrialTrace, solve
 
 SPEC_VERSION = 1
@@ -50,33 +50,20 @@ class InstanceSpec:
             raise ValueError(f"instance {self.id!r}: id must not hold {bad[0]!r}")
         if len(self.id) > ID_MAX:
             raise ValueError(f"instance {self.id!r}: id is longer than {ID_MAX} characters")
-        needs = {"pm1": ("n",), "wishart": ("n", "alpha")}.get(self.generator)
-        given = [k for k in ("generator", "n", "alpha", "gen_seed") if getattr(self, k) is not None]
-        if self.file is not None and given:
-            raise ValueError(f"instance {self.id!r}: a file takes no {given[0]!r}")
-        if self.file is None and needs is None:
+        if self.file is not None:
+            given = [k for k in ("generator", "n", "alpha", "gen_seed") if getattr(self, k) is not None]
+            if given:
+                raise ValueError(f"instance {self.id!r}: a file takes no {given[0]!r}")
+            return
+        if self.generator not in FAMILIES:
             raise ValueError(f"instance {self.id!r}: no file and unknown generator {self.generator!r}")
-        if self.file is None and any(getattr(self, k) is None for k in needs):
-            names = " and ".join(needs)
-            raise ValueError(f"instance {self.id!r}: generator {self.generator!r} needs {names}")
-        unused = [k for k in given if k not in ("generator", *needs, "gen_seed")]
-        if unused:
-            raise ValueError(f"instance {self.id!r}: generator {self.generator!r} takes no {unused[0]!r}")
-        if self.n is not None and self.n < 2:
-            raise ValueError(f"instance {self.id!r}: n must be >= 2")
-        if self.n is not None and self.n > MAX_SPINS:
-            raise ValueError(
-                f"instance {self.id!r}: n {self.n} is above the cap of {MAX_SPINS} spins"
-            )
-        if self.alpha is not None:
-            try:
-                wishart_columns(self.n, self.alpha)
-            except ValueError as exc:
-                raise ValueError(f"instance {self.id!r}: {exc}") from None
-        if self.file is None:
-            object.__setattr__(self, "gen_seed", self.gen_seed or 0)
-            if self.gen_seed < 0:
-                raise ValueError(f"instance {self.id!r}: gen_seed must be >= 0")
+        try:
+            check_args(self.generator, self.n, self.alpha)
+        except ValueError as exc:
+            raise ValueError(f"instance {self.id!r}: {exc}") from None
+        object.__setattr__(self, "gen_seed", self.gen_seed or 0)
+        if self.gen_seed < 0:
+            raise ValueError(f"instance {self.id!r}: gen_seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -190,9 +177,7 @@ def materialize(inst: InstanceSpec) -> IsingProblem:
     """Load or generate the problem for one instance spec."""
     if inst.file is not None:
         return load_instance(inst.file)
-    if inst.generator == "pm1":
-        return gen_random_pm1(inst.n, inst.gen_seed)
-    return gen_wishart(inst.n, inst.alpha, inst.gen_seed).problem
+    return generate(inst.generator, inst.n, inst.alpha, inst.gen_seed)
 
 
 def trial_seed(base_seed: int, instance_index: int, trial_index: int) -> np.random.SeedSequence:

@@ -16,7 +16,7 @@ import numpy as np
 
 # `solve` needs only these; the other commands import their modules
 # themselves, so start-up stays short
-from .ising import MAX_SPINS, atomic_write, load_instance, save_instance
+from .ising import atomic_write, load_instance, save_instance
 from .solver import OPTIMIZERS, SolverConfig, SolverError, solve
 
 EXIT_OK = 0
@@ -94,11 +94,18 @@ def _spin_string(s: np.ndarray) -> str:
     return "".join("+" if v > 0 else "-" for v in s)
 
 
+def _check_output(path: str) -> None:
+    # fail before any work, not when the file is written
+    out_dir = os.path.dirname(path) or "."
+    if not os.path.isdir(out_dir):
+        raise FileNotFoundError(f"output directory {out_dir!r} does not exist")
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"output {path!r} is a directory")
+
+
 def _cmd_solve(args) -> int:
     if args.trace and args.trace_stride < 1:
         raise ValueError("--trace-stride must be >= 1")
-    problem = load_instance(args.instance)
-    seed = _pick_seed(args.seed)
     cfg = SolverConfig(
         steps=args.steps,
         gamma=args.gamma,
@@ -106,9 +113,13 @@ def _cmd_solve(args) -> int:
         momentum=args.momentum,
         optimizer=args.optimizer,
         init_scale=args.init_scale,
-        seed=seed,
         trace_stride=args.trace_stride if args.trace else 0,
     )
+    for path in (args.output, args.trace):
+        if path:
+            _check_output(path)
+    problem = load_instance(args.instance)
+    cfg.seed = _pick_seed(args.seed)
     result = solve(problem, cfg)
     lines = [f"energy: {result.energy!r}"]
     if result.relative_error is not None:
@@ -124,23 +135,16 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    from .generators import gen_random_pm1, gen_wishart
+    from .generators import FAMILIES, check_args, generate
 
-    # the loader's cap: a larger problem makes a file lqa cannot read
-    if args.n > MAX_SPINS:
-        raise ValueError(f"n {args.n} is above the cap of {MAX_SPINS} spins")
-    if args.family == "pm1" and args.alpha is not None:
-        raise ValueError("pm1 takes no --alpha")
+    alpha = 1.0 if args.alpha is None and "alpha" in FAMILIES[args.family] else args.alpha
+    given = {"n": args.n, "alpha": alpha}
+    check_args(args.family, **given)
+    _check_output(args.out)
     seed = _pick_seed(args.seed)
-    if args.family == "pm1":
-        problem = gen_random_pm1(args.n, seed)
-        meta = [f"generator: pm1 n={args.n} seed={seed}"]
-    else:
-        alpha = 1.0 if args.alpha is None else args.alpha
-        inst = gen_wishart(args.n, alpha, seed)
-        problem = inst.problem
-        meta = [f"generator: wishart n={args.n} alpha={alpha!r} seed={seed}"]
-    save_instance(problem, args.out, header_comments=meta)
+    problem = generate(args.family, seed=seed, **given)
+    params = "".join(f" {k}={v!r}" for k, v in given.items() if v is not None)
+    save_instance(problem, args.out, header_comments=[f"generator: {args.family}{params} seed={seed}"])
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -151,10 +155,8 @@ def _cmd_bench(args) -> int:
     spec = bench_mod.load_bench_spec(args.spec)
     if args.workers is not None:
         spec = dataclasses.replace(spec, workers=args.workers)
-    # fail before the trials run, not when their CSV is written
-    out_dir = os.path.dirname(args.output_prefix) or "."
-    if not os.path.isdir(out_dir):
-        raise FileNotFoundError(f"output directory {out_dir!r} does not exist")
+    for name in ("trials", "summary"):
+        _check_output(f"{args.output_prefix}_{name}.csv")
     reports = bench_mod.run_batch(spec)
     bench_mod.write_reports_csv(reports, f"{args.output_prefix}_trials.csv")
     summaries = bench_mod.summarize(reports)

@@ -13,11 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ising import IsingProblem, _upper_tiles
+from .ising import MAX_SPINS, IsingProblem, _upper_tiles
 
 # draws per band of rows in gen_random_pm1: one 512 KiB buffer of
 # indices whatever n is
 _BAND_ENTRIES = 2**16
+# each family and the arguments it takes besides its seed
+FAMILIES = {"pm1": ("n",), "wishart": ("n", "alpha")}
 
 
 @dataclass(frozen=True)
@@ -36,8 +38,7 @@ def gen_random_pm1(n: int, seed) -> IsingProblem:
     band of rows at a time straight into J, so memory beyond J stays
     fixed; the values equal one ``rng.choice([-1.0, 1.0], n(n-1)/2)``.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    check_args("pm1", n, None)
     rng = np.random.default_rng(seed)
     signs = np.array([-1.0, 1.0])
     J = np.zeros((n, n))
@@ -63,17 +64,39 @@ def gen_random_pm1(n: int, seed) -> IsingProblem:
     return IsingProblem(J=J)
 
 
-def wishart_columns(n: int, alpha: float) -> int:
-    """The column count m = round(alpha * n) of a Wishart instance's W.
-    Raises ValueError for an alpha that is not above 0 and finite, or
-    one that leaves no column."""
-    # False for nan, and round(inf * n) would raise OverflowError
+def check_args(family: str, n: int | None, alpha: float | None) -> int | None:
+    """Raise ValueError naming the argument of ``family`` at fault, or return
+    a Wishart instance's column count m (None for pm1, whose alpha is None)."""
+    needs = FAMILIES.get(family)
+    if needs is None:
+        raise ValueError(f"unknown generator {family!r}")
+    if n is None or (alpha is None and "alpha" in needs):
+        raise ValueError(f"generator {family!r} needs {' and '.join(needs)}")
+    if alpha is not None and "alpha" not in needs:
+        raise ValueError(f"generator {family!r} takes no 'alpha'")
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    if n > MAX_SPINS:  # a file lqa could not read back
+        raise ValueError(f"n {n} is above the cap of {MAX_SPINS} spins")
+    if alpha is None:
+        return None
+    # the chained comparison is False for nan
     if not 0.0 < alpha < math.inf:
         raise ValueError("alpha must be > 0 and finite")
-    m = round(alpha * n)
+    m = round(min(alpha * n, MAX_SPINS + 1))  # alpha * n may overflow to inf
     if m < 1:
         raise ValueError(f"alpha * n rounds to {m} columns; need at least 1")
+    if m > MAX_SPINS:
+        raise ValueError(f"alpha * n is above the cap of {MAX_SPINS} columns")
     return m
+
+
+def generate(family: str, n: int, alpha: float | None, seed) -> IsingProblem:
+    """The problem of one seeded instance of ``family``; see check_args."""
+    check_args(family, n, alpha)
+    if family == "pm1":
+        return gen_random_pm1(n, seed)
+    return gen_wishart(n, alpha, seed).problem
 
 
 def gen_wishart(n: int, alpha: float, seed) -> PlantedInstance:
@@ -86,9 +109,7 @@ def gen_wishart(n: int, alpha: float, seed) -> PlantedInstance:
     minimised exactly when W^T s = 0, i.e. at s = +-t (almost surely
     uniquely).
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    m = wishart_columns(n, alpha)
+    m = check_args("wishart", n, alpha)
     rng = np.random.default_rng(seed)
     t = rng.choice([-1.0, 1.0], size=n)
     W = rng.standard_normal((n, m))

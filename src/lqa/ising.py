@@ -164,6 +164,8 @@ def qubo_to_ising(Q, a) -> IsingProblem:
     a = np.asarray(a, dtype=np.float64)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ProblemFormatError(f"Q must be a square matrix, got shape {Q.shape}")
+    if not len(Q):
+        raise ProblemFormatError("Q must have at least one variable")
     if a.shape != (len(Q),):
         raise ProblemFormatError(f"a has shape {a.shape}, expected ({len(Q)},)")
     _check_finite(Q, "Q")

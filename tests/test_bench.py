@@ -7,6 +7,8 @@ import multiprocessing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lqa.bench
 from lqa import IsingProblem
@@ -366,6 +368,11 @@ class TestSpecFile:
              "instance 'w': alpha \\* n rounds to 0 columns; need at least 1"),
             ({"instances": [{"id": "x", "file": "a.txt", "gen_seed": 3}]},
              "instance 'x': a file takes no 'gen_seed'"),
+            # alpha * n overflows to inf; round() of it would raise OverflowError
+            ({"instances": [{"id": "w", "generator": "wishart", "n": 2, "alpha": 1e308}]},
+             "instance 'w': alpha \\* n is above the cap of 16384 columns"),
+            ({"instances": [{"id": "w", "generator": "wishart", "n": 8, "alpha": 2048.1}]},
+             "instance 'w': alpha \\* n is above the cap of 16384 columns"),
         ],
         ids=[
             "unknown-key", "unknown-instance-key", "missing-id", "instances-not-list",
@@ -377,6 +384,7 @@ class TestSpecFile:
             "nul-in-id", "slash-in-id", "non-ascii-id", "long-id",
             "file-and-generator", "file-and-n", "unknown-generator", "no-source",
             "pm1-with-alpha", "wishart-without-columns", "file-with-gen-seed",
+            "alpha-times-n-overflows", "columns-above-cap",
         ],
     )
     def test_bad_spec_rejected(self, tmp_path, edit, message):
@@ -399,6 +407,49 @@ class TestSpecFile:
         spec_path.write_text('{"version": 99, "instances": [{"id": "x", "generator": "pm1", "n": 4}]}')
         with pytest.raises(ValueError, match="version"):
             load_bench_spec(spec_path)
+
+
+# valid instance entries, and boundary JSON values for their keys; a
+# built instance stays small (n <= 8)
+_ENTRIES = {
+    "pm1": {"id": "a", "generator": "pm1", "n": 8},
+    "wishart": {"id": "w", "generator": "wishart", "n": 8, "alpha": 0.5},
+    "file": {"id": "f", "file": "p.txt"},
+}
+_NUMBERS = [-1, 0, 1, 2, 8, 16385, 0.5, 1e308, math.inf, math.nan, None]
+_ENTRY_EDITS = {
+    "file": ["p.txt", None],
+    "generator": ["pm1", "wishart", "nope", None],
+    "n": _NUMBERS, "alpha": _NUMBERS, "gen_seed": _NUMBERS,
+}
+
+
+class TestSpecProperty:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        base=st.sampled_from(sorted(_ENTRIES)),
+        edits=st.lists(st.sampled_from(sorted(_ENTRY_EDITS)), max_size=2, unique=True).flatmap(
+            lambda ks: st.fixed_dictionaries({k: st.sampled_from(_ENTRY_EDITS[k]) for k in ks})
+        ),
+    )
+    def test_spec_entry_rejected_at_load_or_built(self, tmp_path_factory, base, edits):
+        """An instance entry with up to two keys set to boundary values is
+        either rejected by ``load_bench_spec``, with a ValueError naming the
+        spec file, or loads and builds; never another exception."""
+        root = tmp_path_factory.mktemp("spec")
+        (root / "p.txt").write_text("0 1 1.0\n1 2 -0.5\nb 0 0.7\n")
+        spec_path = root / "spec.json"
+        entry = {**_ENTRIES[base], **edits}
+        if entry.get("file"):
+            entry["file"] = str(root / entry["file"])
+        spec_path.write_text(json.dumps({"version": 1, "steps": 5, "instances": [entry]}))
+        try:
+            spec = load_bench_spec(spec_path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{spec_path}: ")
+            return
+        (inst,) = spec.instances
+        assert materialize(inst).n == (3 if inst.file else inst.n)
 
 
 class TestCsvOutput:

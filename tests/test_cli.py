@@ -1,13 +1,19 @@
+import contextlib
 import importlib.util
+import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lqa
 import lqa.generators
@@ -16,6 +22,7 @@ from lqa.bench import aggregate_traces, load_bench_spec, run_batch
 from lqa.cli import build_parser, main
 from lqa.ising import MAX_SPINS
 from lqa.oracle import brute_force_ground
+from lqa.solver import OPTIMIZERS
 
 
 def run_cli(capsys, *argv):
@@ -99,6 +106,20 @@ class TestSolve:
         assert code == 1
         assert err == "lqa: error: seed must be >= 0\n"
         assert out == ""
+
+    @pytest.mark.parametrize("flag", [["--steps", "0"], ["--gamma", "-1"], ["--momentum", "nan"]])
+    def test_bad_flag_rejected_before_seed_is_drawn(self, capsys, ferro_file, flag):
+        code, out, err = run_cli(capsys, "solve", ferro_file, *flag)
+        assert code == 1 and err.startswith("lqa: error: ") and err.count("\n") == 1
+        assert out == ""
+
+    @pytest.mark.parametrize("flag", ["--output", "--trace"])
+    def test_missing_output_directory_rejected_before_solving(self, capsys, tmp_path, ferro_file, flag):
+        path = tmp_path / "nodir" / "o.txt"
+        code, out, err = run_cli(capsys, "solve", ferro_file, "--seed", "1", flag, str(path))
+        assert (code, out) == (1, "")
+        assert err == f"lqa: error: output directory {str(tmp_path / 'nodir')!r} does not exist\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afm.txt"]
 
     def test_omitted_seed_is_printed(self, capsys, ferro_file):
         code, out, _ = run_cli(capsys, "solve", ferro_file, "--steps", "10")
@@ -220,13 +241,34 @@ class TestGenerate:
              "alpha must be > 0 and finite"),
             (["pm1", "--n", "10", "--seed", "-1"], "seed must be >= 0"),
             (["pm1", "--n", "16385", "--seed", "1"], "n 16385 is above the cap of 16384 spins"),
-            (["pm1", "--n", "4", "--alpha", "0.5", "--seed", "1"], "pm1 takes no --alpha"),
+            (["pm1", "--n", "4", "--alpha", "0.5", "--seed", "1"], "generator 'pm1' takes no 'alpha'"),
             # no seed drawn and printed either
-            (["pm1", "--n", "4", "--alpha", "0.5"], "pm1 takes no --alpha"),
+            (["pm1", "--n", "4", "--alpha", "0.5"], "generator 'pm1' takes no 'alpha'"),
+            (["pm1", "--n", "1"], "n must be >= 2"),
+            (["wishart", "--n", "10", "--alpha", "inf"], "alpha must be > 0 and finite"),
+            (["wishart", "--n", "2", "--alpha", "1e308", "--seed", "1"],
+             "alpha * n is above the cap of 16384 columns"),
         ]:
             code, out, err = run_cli(capsys, "generate", *argv, "--out", str(out_path))
             assert (code, out, err) == (1, "", f"lqa: error: {message}\n"), argv
             assert not out_path.exists()
+
+    def test_missing_output_directory_rejected_before_generating(self, capsys, tmp_path, monkeypatch):
+        def no_generate(*args, **kwargs):
+            raise AssertionError("generated an instance")
+
+        monkeypatch.setattr(lqa.generators, "generate", no_generate)
+        out_path = tmp_path / "nodir" / "x.txt"
+        code, out, err = run_cli(capsys, "generate", "pm1", "--n", "10", "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert err == f"lqa: error: output directory {str(tmp_path / 'nodir')!r} does not exist\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_families_are_the_generators(self):
+        # argparse's choices are the one other list of the families
+        for family in lqa.generators.FAMILIES:
+            assert build_parser().parse_args(["generate", family, "--n", "2", "--out", "x"])
+        assert sorted(lqa.generators.FAMILIES) == ["pm1", "wishart"]
 
 
 class TestBench:
@@ -315,11 +357,13 @@ class TestBench:
              "instance 'w': alpha * n rounds to 0 columns; need at least 1"),
             ({"instances": [{"id": "x", "file": "a.txt", "gen_seed": 3}]},
              "instance 'x': a file takes no 'gen_seed'"),
+            ({"instances": [{"id": "w", "generator": "wishart", "n": 2, "alpha": 1e308}]},
+             "instance 'w': alpha * n is above the cap of 16384 columns"),
         ],
         ids=[
             "unknown-key", "duplicate-id", "bad-setting", "unsafe-id", "file-and-generator",
             "unknown-generator", "pm1-with-alpha", "wishart-without-columns",
-            "file-with-gen-seed",
+            "file-with-gen-seed", "alpha-times-n-overflows",
         ],
     )
     def test_bad_spec_exits_one(self, capsys, tmp_path, extra, message):
@@ -519,3 +563,121 @@ class TestHelp:
         with pytest.raises(SystemExit) as exc:
             main(["solve"])  # missing instance argument
         assert exc.value.code == 1
+
+
+# boundary values the input-space properties below draw from; a run
+# that is accepted stays small (n <= 8, steps <= 5)
+_INTS = ["-1", "0", "1", "2", "8", "16385"]
+_FLOATS = ["-1", "0", "0.5", "1", "2", "8", "16385", "1e308", "inf", "nan"]
+_OUTPUTS = ["missing-dir", "directory", "file"]
+# what a drawn argv edits, and the values each edit may take; an
+# argument that is not edited keeps a valid value
+_GENERATE_EDITS = {
+    "--n": _INTS, "--alpha": _FLOATS, "--seed": ["-1", "0", "1"], "--out": _OUTPUTS,
+}
+_SOLVE_EDITS = {
+    "instance": ["missing", "malformed"],
+    "--steps": ["-1", "0", "1", "2"],
+    "--gamma": _FLOATS, "--eta": _FLOATS, "--momentum": _FLOATS, "--init-scale": _FLOATS,
+    "--optimizer": list(OPTIMIZERS),
+    "--seed": ["-1", "0", "1"],
+    "--trace-stride": ["-1", "0", "1", "2"],
+    "--output": _OUTPUTS, "--trace": _OUTPUTS,
+}
+
+
+def _edits(table):
+    """Up to two entries of ``table``, each with one of its values."""
+    keys = st.lists(st.sampled_from(sorted(table)), max_size=2, unique=True)
+    return keys.flatmap(lambda ks: st.fixed_dictionaries({k: st.sampled_from(table[k]) for k in ks}))
+
+
+def _run_main(argv):
+    """``main(argv)`` with stdout and stderr captured. An exception it
+    does not catch (a traceback, for the user) propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _out_path(root, kind):
+    """A path under ``root`` of the kind drawn: a new file, a file in a
+    directory that does not exist, or an existing empty directory."""
+    if kind == "directory":
+        os.makedirs(os.path.join(root, "dir"), exist_ok=True)
+        return os.path.join(root, "dir")
+    return os.path.join(root, "missing" if kind == "missing-dir" else "", "out.txt")
+
+
+def _tree(root):
+    return sorted(os.path.relpath(os.path.join(d, f), root)
+                  for d, dirs, files in os.walk(root) for f in dirs + files)
+
+
+def _assert_rejected(out, err, before, root):
+    # exit 1: one error line, nothing on stdout, nothing written
+    assert err.startswith("lqa: error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    assert out == ""
+    assert _tree(root) == before
+
+
+class TestEntryPointProperties:
+    """A valid ``lqa generate`` or ``lqa solve`` argv with up to two
+    arguments set to boundary values either exits 1 before it prints or
+    writes anything, or runs to complete outputs; none ends in a
+    traceback."""
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(family=st.sampled_from(["pm1", "wishart"]), edits=_edits(_GENERATE_EDITS))
+    def test_generate_fails_fast_or_writes(self, tmp_path_factory, family, edits):
+        with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as root:
+            args = {"--n": "8", **edits, "--out": _out_path(root, edits.get("--out", "file"))}
+            argv = ["generate", family, *(a for kv in args.items() for a in kv)]
+            before = _tree(root)
+            code, out, err = _run_main(argv)
+            if code == 1:
+                _assert_rejected(out, err, before, root)
+                return
+            assert (code, err) == (0, "")
+            lines = out.splitlines()
+            if "--seed" not in args:
+                assert re.fullmatch(r"seed: \d+", lines.pop(0))
+            assert lines == [f"wrote {args['--out']}"]
+            assert load_instance(args["--out"]).n == int(args["--n"])
+            assert _tree(root) == sorted(before + ["out.txt"])
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(edits=_edits(_SOLVE_EDITS))
+    def test_solve_fails_fast_or_runs(self, tmp_path_factory, edits):
+        with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as root:
+            path = os.path.join(root, "p.txt")
+            kind = edits.pop("instance", "biased")
+            if kind != "missing":
+                text = "0 1 1.0\n1 2 -0.5\nb 0 0.7\nb 2 -0.3\n"
+                Path(path).write_text(text if kind == "biased" else text + "0 1\n")
+            args = {"--steps": "5", **edits}
+            for flag in ("--output", "--trace"):  # one kind drawn twice names one path
+                if flag in args:
+                    args[flag] = _out_path(root, args[flag])
+            argv = ["solve", path, *(a for kv in args.items() for a in kv)]
+            before = _tree(root)
+            code, out, err = _run_main(argv)
+            if code == 1:
+                _assert_rejected(out, err, before, root)
+                return
+            lines = out.splitlines()
+            if "--seed" not in args:
+                assert re.fullmatch(r"seed: \d+", lines.pop(0))
+            if code == 2:
+                assert err.startswith("lqa: runtime failure: ") and err.count("\n") == 1, err
+                assert lines == [] and _tree(root) == before
+                return
+            assert (code, err) == (0, "")
+            assert [line.split(":")[0] for line in lines] == ["energy", "spins"]
+            written = {args[f] for f in ("--output", "--trace") if f in args}
+            assert _tree(root) == sorted(set(before) | {os.path.relpath(p, root) for p in written})
+            if "--trace" in args:
+                assert Path(args["--trace"]).read_text().startswith("step,t,cost,energy\n")
+            elif "--output" in args:
+                assert Path(args["--output"]).read_text() == "\n".join(lines) + "\n"

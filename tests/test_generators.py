@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from lqa import generators, objective
-from lqa.generators import gen_random_pm1, gen_wishart
+from lqa.generators import FAMILIES, check_args, gen_random_pm1, gen_wishart, generate
+from lqa.ising import MAX_SPINS
 from lqa.oracle import brute_force_ground
 from conftest import single_flip_stable
 
@@ -41,6 +42,11 @@ class TestRandomPm1:
     def test_rejects_tiny_n(self):
         with pytest.raises(ValueError):
             gen_random_pm1(1, 0)
+
+    def test_rejects_n_above_cap_before_allocating(self):
+        # J would take 2 GiB; the check comes first
+        with pytest.raises(ValueError, match="^n 16385 is above the cap of 16384 spins$"):
+            gen_random_pm1(MAX_SPINS + 1, 0)
 
     # a band of one row needs n above half the draw budget, so the budget is
     # shrunk for those cases; at the real budget, n=257 bands 255 rows and
@@ -131,3 +137,40 @@ class TestWishart:
             assert sorted(tuple(s) for s in mins) == sorted(
                 [tuple(inst.planted), tuple(-inst.planted)]
             )
+
+
+class TestFamilies:
+    @pytest.mark.parametrize(
+        "family, n, alpha, message",
+        [
+            ("nope", 4, None, "unknown generator 'nope'"),
+            ("pm1", None, None, "generator 'pm1' needs n"),
+            ("wishart", 4, None, "generator 'wishart' needs n and alpha"),
+            ("pm1", 4, 0.5, "generator 'pm1' takes no 'alpha'"),
+            ("wishart", 1, 1.0, "n must be >= 2"),
+            ("wishart", MAX_SPINS + 1, 1.0, "n 16385 is above the cap of 16384 spins"),
+            ("wishart", 4, 0.0, "alpha must be > 0 and finite"),
+            ("wishart", 2, 0.1, r"alpha \* n rounds to 0 columns; need at least 1"),
+            # alpha * n is inf; round() of it would raise OverflowError
+            ("wishart", 2, 1e308, r"alpha \* n is above the cap of 16384 columns"),
+            ("wishart", 8, 2048.1, r"alpha \* n is above the cap of 16384 columns"),
+        ],
+    )
+    def test_check_args_rejects(self, family, n, alpha, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_args(family, n, alpha)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            generate(family, n, alpha, 0)
+
+    def test_column_count(self):
+        assert check_args("pm1", 4, None) is None
+        assert check_args("wishart", 10, 0.7) == 7
+        # 16384.5 rounds to even, onto the cap
+        assert check_args("wishart", 8, 2048.0625) == MAX_SPINS
+
+    def test_generate_is_the_family_generator(self):
+        assert sorted(FAMILIES) == ["pm1", "wishart"]
+        assert generate("pm1", 6, None, 3).J.tobytes() == gen_random_pm1(6, 3).J.tobytes()
+        planted = gen_wishart(6, 0.5, 3).problem
+        p = generate("wishart", 6, 0.5, 3)
+        assert (p.J.tobytes(), p.ground_energy) == (planted.J.tobytes(), planted.ground_energy)

@@ -433,6 +433,7 @@ class TestQuboToIsing:
             (np.zeros(4), np.zeros(4), r"^Q must be a square matrix, got shape \(4,\)$"),
             (np.zeros((2, 2)), np.zeros(3), r"^a has shape \(3,\), expected \(2,\)$"),
             (np.zeros((2, 2)), np.zeros((2, 1)), r"^a has shape \(2, 1\), expected \(2,\)$"),
+            (np.zeros((0, 0)), np.zeros(0), r"^Q must have at least one variable$"),
             (np.diag([1.0, np.nan]), np.zeros(2), r"^Q has non-finite entries"),
             (np.zeros((2, 2)), np.array([0.0, -np.inf]), r"^a has non-finite entries"),
             # finite inputs whose reduced bias or offset overflows
@@ -444,7 +445,7 @@ class TestQuboToIsing:
              np.array([1e308, 0.0, 0.0]), _OVERFLOW),
         ],
         ids=[
-            "non-square-Q", "1-d-Q", "short-a", "2-d-a", "non-finite-Q", "non-finite-a",
+            "non-square-Q", "1-d-Q", "short-a", "2-d-a", "empty-Q", "non-finite-Q", "non-finite-a",
             "bias-overflows", "offset-overflows", "bias-is-inf-minus-inf",
         ],
     )
