@@ -118,6 +118,8 @@ def _cmd_solve(args) -> int:
     for path in (args.output, args.trace):
         if path:
             _check_output(path)
+    if args.output and args.trace and os.path.realpath(args.output) == os.path.realpath(args.trace):
+        raise ValueError(f"--output and --trace name one path {args.trace!r}")
     problem = load_instance(args.instance)
     cfg.seed = _pick_seed(args.seed)
     result = solve(problem, cfg)
@@ -180,7 +182,11 @@ def _cmd_oracle(args) -> int:
     from .oracle import brute_force_ground
 
     problem = load_instance(args.instance)
-    e, minimisers = brute_force_ground(problem)
+    try:
+        e, minimisers = brute_force_ground(problem)
+    except OverflowError as exc:  # finite values, energies beyond float64: as `solve` exits
+        print(f"lqa: runtime failure: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     print(f"ground_energy: {e!r}")
     print(f"minimisers: {len(minimisers)}")
     for s in minimisers[:ORACLE_SHOWN]:

@@ -36,11 +36,17 @@ def brute_force_ground(p: IsingProblem) -> tuple[float, np.ndarray]:
     negation is added. Blocks hold BLOCK_ENTRIES energies, so working
     memory stays near 1 MiB plus the 2^(n - n//2) half-tables at any n;
     the cap bounds the 2^n run time, and the minimiser array itself is
-    not bounded.
+    not bounded. No energy, and no partial sum of one, is larger than
+    the sum of |J| and |b|; when that sum overflows float64, the search
+    is not run and OverflowError is raised.
     """
     n = p.n
     if n > MAX_BRUTE_FORCE_SPINS:
         raise ValueError(f"brute force capped at {MAX_BRUTE_FORCE_SPINS} spins (got {n})")
+    with np.errstate(over="ignore"):
+        scale = np.abs(p.J).sum() + np.abs(p.b).sum()
+    if not np.isfinite(scale):
+        raise OverflowError("the energies can overflow float64: the sum of |J| and |b| is not finite")
     k = n // 2
     m = n - k
     J_aa = p.J[:k, :k]
@@ -63,8 +69,7 @@ def brute_force_ground(p: IsingProblem) -> tuple[float, np.ndarray]:
     X = np.empty((rows, width))
     E = np.empty((rows, width))
     best = np.inf
-    # the result stays (0, n) if overflow makes every block minimum nan
-    pieces = [np.empty((0, n))]
+    pieces = []
     for start in range(0, 2**k, rows):
         # E = (eA + eB) + 2 (SA @ cross_T) in place, the 2 folded into
         # cross_T once: doubling is exact, so the product keeps its bits,

@@ -25,8 +25,9 @@ HALF_PI = math.pi / 2.0
 
 # numpy takes a slower path for a Python float operand than for a 0-d
 # array (550-610 against 360-390 ns an operation on 20 values, numpy 2.4
-# on a 2-vCPU VM), so the step's constants are 0-d float64 arrays; the
-# arithmetic, and its bits, are the same
+# on a 2-vCPU VM), so the step's constants, and the two coefficients
+# anneal refills each step, are 0-d float64 arrays; the arithmetic, and
+# its bits, are the same
 _HALF_PI = np.array(HALF_PI)
 _ONE = np.array(1.0)
 _HALF_PI.flags.writeable = _ONE.flags.writeable = False
@@ -117,22 +118,27 @@ def cost(p: IsingProblem, w: np.ndarray, t: float, gamma: float) -> float:
     return float(t * gamma * (z @ (p.J @ z)) - (1.0 - t) * x.sum())
 
 
-def gradient(p: IsingProblem, w: np.ndarray, t: float, gamma: float) -> np.ndarray:
+def gradient(
+    p: IsingProblem, w: np.ndarray, cz: float | np.ndarray, cx: float | np.ndarray
+) -> np.ndarray:
     """Analytic gradient of the annealed cost with respect to w, as a
-    new array.
+    new array, given the step's coefficients cz = t * gamma * 2.0 and
+    cx = 1.0 - t (floats, or 0-d float64 arrays as :func:`anneal`
+    passes them).
 
-    grad = (pi/2) * [t*gamma*(2 J z) . x + (1-t) z] . (1 - tanh(w)^2)
+    grad = (pi/2) * [cz (J z) . x + cx z] . (1 - tanh(w)^2)
     where . is elementwise multiplication. The J z product dominates
-    the runtime at large n. The formula is evaluated in place on the
-    step's own temporaries, in the order of the expression above
-    (IEEE * and + are commutative, so the bits are those of the
-    one-line form). p and w are unchecked, as in :func:`cost`.
+    the runtime at large n; ``J.dot`` gives the bits of ``J @ z`` with
+    less dispatch. The formula is evaluated in place on the step's own
+    temporaries, in the order of the expression above (IEEE * and + are
+    commutative, so the bits are those of the one-line form). p and w
+    are unchecked, as in :func:`cost`.
     """
     th, z, x = _angles(w)
-    g = p.J @ z
-    g *= t * gamma * 2.0
+    g = p.J.dot(z)
+    g *= cz
     g *= x
-    z *= 1.0 - t
+    z *= cx
     g += z
     g *= _HALF_PI
     th *= th
@@ -228,12 +234,15 @@ def anneal(
     steps, gamma = cfg.steps, cfg.gamma
     eta = np.array(cfg.step_size, dtype=np.float64)  # 0-d, like _HALF_PI
     mu = np.array(0.0 if cfg.optimizer == "vanilla" else cfg.momentum, dtype=np.float64)
+    cz, cx = np.empty(()), np.empty(())  # the step's coefficients, refilled each step
     # no numpy warning for an overflow or inf / inf = nan: the check below
     # reports any non-finite value as a SolverError naming the step
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, steps + 1):
             t = i / steps
-            g = gradient(p, w, t, gamma)
+            cz[()] = t * gamma * 2.0
+            cx[()] = 1.0 - t
+            g = gradient(p, w, cz, cx)
             if adam:
                 watched = update_adam(w, m1, m2, g, eta, i)
             else:

@@ -34,7 +34,7 @@ def test_criterion_1_gradient_oracle():
             w = rng.normal(size=n)
             t = rng.uniform(0.0, 1.0)
             gamma = rng.uniform(0.1, 2.0)
-            g = gradient(p, w, t, gamma)
+            g = gradient(p, w, t * gamma * 2.0, 1.0 - t)
             fd = finite_difference_gradient(p, w, t, gamma)
             rel = np.linalg.norm(g - fd) / np.linalg.norm(g)
             assert rel < 1e-5, f"n={n}: relative error {rel}"

@@ -19,7 +19,7 @@ import lqa
 import lqa.generators
 from lqa import SolverConfig, load_instance
 from lqa.bench import aggregate_traces, load_bench_spec, run_batch
-from lqa.cli import build_parser, main
+from lqa.cli import ORACLE_SHOWN, build_parser, main
 from lqa.ising import MAX_SPINS
 from lqa.oracle import brute_force_ground
 from lqa.solver import OPTIMIZERS
@@ -119,6 +119,19 @@ class TestSolve:
         code, out, err = run_cli(capsys, "solve", ferro_file, "--seed", "1", flag, str(path))
         assert (code, out) == (1, "")
         assert err == f"lqa: error: output directory {str(tmp_path / 'nodir')!r} does not exist\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afm.txt"]
+
+    @pytest.mark.parametrize("relative", [False, True], ids=["same-string", "relative-and-absolute"])
+    def test_output_and_trace_naming_one_path_exit_one(
+        self, capsys, tmp_path, monkeypatch, ferro_file, relative
+    ):
+        # the trace would overwrite the result lines
+        monkeypatch.chdir(tmp_path)
+        path = str(tmp_path / "o.txt")
+        code, out, err = run_cli(capsys, "solve", ferro_file, "--output", path,
+                                 "--trace", "o.txt" if relative else path)
+        assert (code, out) == (1, "")
+        assert err == f"lqa: error: --output and --trace name one path {'o.txt' if relative else path!r}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["afm.txt"]
 
     def test_omitted_seed_is_printed(self, capsys, ferro_file):
@@ -463,6 +476,23 @@ class TestOracle:
         ]
         assert lines[18:] == ["... 4080 more"]
 
+    @pytest.mark.parametrize(
+        "text",
+        ["0 1 1e308\n", "0 1 1e308\n1 2 1e308\n0 2 1e308\n"],
+        ids=["pair", "triangle"],
+    )
+    def test_overflowing_energies_exit_two(self, capsys, tmp_path, text):
+        # reported before as ground energy -inf with 2 minimisers (pair)
+        # and inf with none (triangle), after numpy warnings, with exit 0
+        f = tmp_path / "big.txt"
+        f.write_text(text)
+        code, out, err = run_cli(capsys, "oracle", str(f))
+        assert (code, out) == (2, "")
+        assert err == (
+            "lqa: runtime failure: the energies can overflow float64:"
+            " the sum of |J| and |b| is not finite\n"
+        )
+
     def test_cap_has_no_override(self, capsys, tmp_path):
         f = tmp_path / "big.txt"
         lines = [f"{i} {i+1} 1.0" for i in range(24)]  # 25 spins
@@ -586,6 +616,29 @@ _SOLVE_EDITS = {
 }
 
 
+# coupling and bias values an `lqa oracle` file may hold: each loads,
+# and 8.9e307 and 1e308 can overflow the energies
+_VALUES = ["0", "1", "-1", "0.5", "1e-320", "8.9e307", "1e308", "-1e308"]
+# at most one line the loader rejects: a self-coupling, the mirror of a
+# drawn pair 0 1 (a duplicate then), non-finite values
+_ODD_LINES = ["0 0 1", "1 0 1", "0 1 inf", "b 2 nan"]
+
+
+@st.composite
+def _oracle_file(draw):
+    """The text of a small instance file (n <= 8): coupling lines
+    `i j v` with i < j, bias lines `b i v`, and maybe one odd line."""
+    pair = st.lists(st.integers(0, 7), min_size=2, max_size=2, unique=True).map(sorted)
+    value = st.sampled_from(_VALUES)
+    coupling = st.tuples(pair, value).map(lambda pv: f"{pv[0][0]} {pv[0][1]} {pv[1]}")
+    bias = st.tuples(st.integers(0, 7), value).map(lambda iv: f"b {iv[0]} {iv[1]}")
+    lines = draw(st.lists(coupling | bias, min_size=1, max_size=6))
+    odd = draw(st.none() | st.sampled_from(_ODD_LINES))
+    if odd:
+        lines.insert(draw(st.integers(0, len(lines))), odd)
+    return "".join(line + "\n" for line in lines)
+
+
 def _edits(table):
     """Up to two entries of ``table``, each with one of its values."""
     keys = st.lists(st.sampled_from(sorted(table)), max_size=2, unique=True)
@@ -626,7 +679,27 @@ class TestEntryPointProperties:
     """A valid ``lqa generate`` or ``lqa solve`` argv with up to two
     arguments set to boundary values either exits 1 before it prints or
     writes anything, or runs to complete outputs; none ends in a
-    traceback."""
+    traceback. ``lqa oracle`` on a small file with boundary values either
+    prints a finite ground energy and its minimisers or exits non-zero
+    with one line on stderr."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(text=_oracle_file())
+    def test_oracle_reports_a_finite_ground_or_fails(self, tmp_path_factory, text):
+        with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as root:
+            path = os.path.join(root, "p.txt")
+            Path(path).write_text(text)
+            code, out, err = _run_main(["oracle", path])
+        if code != 0:
+            assert re.match(r"lqa: (error|runtime failure): ", err) and err.count("\n") == 1, err
+            assert out == ""
+            return
+        assert err == ""
+        energy, count, *spins = out.splitlines()
+        assert math.isfinite(float(energy.removeprefix("ground_energy: ")))
+        assert int(count.removeprefix("minimisers: ")) >= 1
+        n = 1 + max(int(v) for line in text.splitlines() for v in line.split()[:2] if v != "b")
+        assert spins and all(re.fullmatch(rf"[+-]{{{n}}}", s) for s in spins[:ORACLE_SHOWN])
 
     @settings(max_examples=250, deadline=None, derandomize=True)
     @given(family=st.sampled_from(["pm1", "wishart"]), edits=_edits(_GENERATE_EDITS))

@@ -75,6 +75,16 @@ def test_anneal_matches_golden_output(n, optimizer):
     assert [repr(e) for e in trace.energies] == [repr(e) for e in energies]
 
 
+@pytest.mark.parametrize("n", [20, 100, 501, 2000])
+def test_gradient_product_has_the_bits_of_matmul(n):
+    # gradient computes J z as J.dot(z); the anneal goldens above reach
+    # only n = 20, and the benchmark anneals at n = 501 and 2000 too
+    rng = np.random.default_rng(n)
+    J = random_ising(n, rng).J
+    z = np.sin(rng.uniform(-1.5, 1.5, n))
+    np.testing.assert_array_equal(J.dot(z).view(np.uint64), (J @ z).view(np.uint64))
+
+
 def _sha256(arr):
     return hashlib.sha256(arr.tobytes()).hexdigest()
 

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import dataclasses
+import fractions
 import itertools
 import math
 import os
@@ -376,6 +377,30 @@ def _quadratic(draw, max_n=6, form="symmetric", coef=_COEF):
     return M, entries(n)
 
 
+# boundary entries for the array property: signed zeros, subnormals,
+# entries near the float max, non-finite values
+_BOUNDARY = [0.0, -0.0, 1.0, -2.5, 5e-324, -1e-310, 1e308, -1e308, 8.9e307, np.inf, np.nan]
+
+
+def _array(draw, shape):
+    size = math.prod(shape)
+    entry = st.one_of(st.sampled_from(_BOUNDARY), _COEF, _COEF, _COEF)
+    entries = draw(st.lists(entry, min_size=size, max_size=size))
+    return np.array(entries, dtype=np.float64).reshape(shape)
+
+
+@st.composite
+def _any_qubo(draw):
+    """(Q, a) as float64 arrays of 0 to 3 dimensions, each of length 0
+    to 4, with boundary entries; mostly a square Q and an a that fits."""
+    shapes = st.lists(st.integers(0, 4), max_size=3)
+    n = draw(st.integers(0, 4))
+    free = draw(st.sampled_from(["Q", "a", None, None]))  # which one takes any shape
+    Q = _array(draw, draw(shapes) if free == "Q" else [n, n])
+    a = _array(draw, draw(shapes) if free == "a" else [n])
+    return Q, a
+
+
 def _reduced_as_before(Q, a):
     """The reduction of a symmetric zero-diagonal Q, the only form accepted
     before a diagonal and an asymmetric Q were: J, b and offset."""
@@ -492,6 +517,29 @@ class TestQuboToIsing:
         p = qubo_to_ising(Q, a)
         J, b, offset = _reduced_as_before(Q, a)
         assert np.array_equal(p.J, J) and np.array_equal(p.b, b) and p.offset == offset
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(qa=_any_qubo())
+    def test_any_arrays_reduce_or_name_the_argument(self, qa):
+        """Arrays of any shape up to 4 x 4, with boundary values: the result
+        satisfies the documented identity, or a ValueError names Q or a."""
+        Q, a = qa
+        try:
+            p = qubo_to_ising(Q, a)
+        except ValueError as exc:
+            assert re.match(r"(Q|a) ", str(exc)), exc
+            return
+        # in exact rationals, so neither side overflows; the reduction
+        # rounds a few times per entry, and a subnormal loses its last bits
+        F = fractions.Fraction
+        tol = F(1, 10**12) * (sum(map(F, np.abs(Q).flat)) + sum(map(F, np.abs(a).flat))) + F(1e-300)
+        for x in all_binary(len(Q)):
+            s = [int(v) for v in 2 * x - 1]
+            qubo = sum(F(Q[i, j]) for i in range(len(Q)) for j in range(len(Q)) if x[i] and x[j])
+            qubo += sum(F(a[i]) for i in range(len(Q)) if x[i])
+            ising = sum(F(p.J[i, j]) * s[i] * s[j] for i in range(p.n) for j in range(p.n))
+            ising += sum(F(p.b[i]) * s[i] for i in range(p.n)) + F(p.offset)
+            assert abs(ising - qubo) <= tol
 
     @pytest.mark.parametrize(
         "make",

@@ -125,15 +125,31 @@ class TestBruteForce:
         assert mins.shape == (2**16, 16)
         assert peak <= 3 * mins.nbytes
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    def test_overflowed_energies_give_no_minimiser(self):
-        # inf + -inf makes every energy block's minimum nan
+    @pytest.mark.parametrize(
+        "pairs, b",
+        [
+            # inf + -inf made every energy block's minimum nan, reported
+            # as a ground energy inf with no minimiser
+            ([(0, 1, 1e308), (2, 3, -1e308)], [0.0] * 4),
+            ([(0, 1, 1.0)], [1e308, 1e308, 0.0, 0.0]),
+        ],
+        ids=["couplings", "biases"],
+    )
+    def test_overflowing_energies_raise(self, pairs, b):
         J = np.zeros((4, 4))
-        J[0, 1] = J[1, 0] = 1e308
-        J[2, 3] = J[3, 2] = -1e308
+        for i, j, v in pairs:
+            J[i, j] = J[j, i] = v
+        with pytest.raises(OverflowError, match=r"^the energies can overflow float64: the sum of \|J\| and \|b\| is not finite$"):
+            brute_force_ground(IsingProblem(J=J, b=b))
+
+    def test_large_finite_energies_are_exact(self):
+        # the sum of |J| is 1.6e308, below the float max: no energy overflows
+        J = np.zeros((3, 3))
+        J[0, 1] = J[1, 0] = 4e307
+        J[1, 2] = J[2, 1] = -4e307
         e, mins = brute_force_ground(IsingProblem(J=J))
-        assert e == np.inf
-        assert mins.shape == (0, 4)
+        assert e == -1.6e308
+        np.testing.assert_array_equal(mins, [[-1, 1, 1], [1, -1, -1]])
 
     def test_lower_bounds_any_solver_output(self, rng):
         from lqa import SolverConfig

@@ -82,19 +82,19 @@ class TestGradient:
         for n in (3, 11):
             p = random_ising(n, rng)
             for t in (0.0, 0.4, 1.0):
-                assert np.all(gradient(p, np.zeros(n), t, 2.0) == 0.0)
+                assert np.all(gradient(p, np.zeros(n), t * 2.0 * 2.0, 1.0 - t) == 0.0)
 
     def test_matches_finite_differences(self, rng):
         p = random_ising(50, rng)
         w = rng.normal(size=50)
-        g = gradient(p, w, 0.37, 1.3)
+        g = gradient(p, w, 0.37 * 1.3 * 2.0, 1.0 - 0.37)
         fd = finite_difference_gradient(p, w, 0.37, 1.3)
         assert np.linalg.norm(g - fd) / np.linalg.norm(g) < 1e-5
 
     def test_single_spin_closed_form(self):
         p = IsingProblem(J=np.zeros((1, 1)))
         for w0, t in [(0.3, 0.2), (-1.1, 0.8), (2.5, 0.5)]:
-            g = gradient(p, np.array([w0]), t, 1.0)[0]
+            g = gradient(p, np.array([w0]), t * 1.0 * 2.0, 1.0 - t)[0]
             th = math.tanh(w0)
             # derivative of -(1-t)cos((pi/2) tanh w)
             expected = (
@@ -118,7 +118,7 @@ class TestInPlaceBits:
         # tanh(w) is +-1 for |w| >= 20; and both signed zeros
         w[:6] = [20.0, -20.0, 35.5, -1e3, 0.0, -0.0]
         w_before = w.copy()
-        g = gradient(p, w, t, gamma)
+        g = gradient(p, w, t * gamma * 2.0, 1.0 - t)
         assert_same_bits(g, gradient_reference(p, w, t, gamma))
         assert_same_bits(w, w_before)
         assert not np.shares_memory(g, w)
@@ -334,7 +334,7 @@ def vanilla_reference(p, cfg, w0):
     costs, energies = [], []
     for i in range(1, cfg.steps + 1):
         t = i / cfg.steps
-        w -= cfg.step_size * gradient(p, w, t, cfg.gamma)
+        w -= cfg.step_size * gradient(p, w, t * cfg.gamma * 2.0, 1.0 - t)
         if i % cfg.trace_stride == 0 or i == cfg.steps:
             s = spin_readout(w)
             costs.append(cost(p, w, t, cfg.gamma))
