@@ -870,6 +870,43 @@ class TestInstanceFormat:
         ):
             load_instance(f)
 
+    # every data-row rule of the line parser, for both row kinds, and the
+    # rule reported for a row that breaks two; the bad row is line 3,
+    # after a bias for spin 0 and a coupling for the pair (0, 1)
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0 1", "expected 3 fields, got 2"),
+            ("b x 1.0", "bad bias line"),
+            ("b 2 x", "bad bias line"),
+            ("0 two 3", "bad coupling line"),
+            ("0 2 x", "bad coupling line"),
+            ("b -1 1.0", "negative index"),
+            ("-1 2 1.0", "negative index"),
+            ("2 -1 1.0", "negative index"),
+            (f"b {MAX_SPINS} 1.0", f"index {MAX_SPINS} is at or above the cap of {MAX_SPINS} spins"),
+            (f"2 {MAX_SPINS} 1.0", f"index {MAX_SPINS} is at or above the cap of {MAX_SPINS} spins"),
+            ("3 3 1.0", "self-coupling 3 3 is not allowed"),
+            ("b 2 nan", "non-finite bias nan"),
+            ("2 3 -inf", "non-finite coupling -inf"),
+            ("b 0 1.0", "duplicate bias for 0"),
+            ("1 0 1.0", "duplicate coupling for pair (0, 1)"),
+            ("3 3 inf", "self-coupling 3 3 is not allowed"),
+            (f"-1 {MAX_SPINS} 1.0", "negative index"),
+            (f"{MAX_SPINS} -1 1.0", "negative index"),
+            (f"{MAX_SPINS} {MAX_SPINS} 1.0", f"index {MAX_SPINS} is at or above the cap of {MAX_SPINS} spins"),
+            (f"b {MAX_SPINS} nan", f"index {MAX_SPINS} is at or above the cap of {MAX_SPINS} spins"),
+            ("1 0 nan", "non-finite coupling nan"),
+            ("b 0 nan", "non-finite bias nan"),
+        ],
+    )
+    @pytest.mark.parametrize("load", [load_instance, _load_lines], ids=["load_instance", "lines"])
+    def test_line_parser_message_exact(self, tmp_path, load, row, message):
+        f = tmp_path / "p.txt"
+        f.write_text(f"b 0 -1.0\n0 1 0.5\n{row}\n")
+        with pytest.raises(ProblemFormatError, match=f"^{re.escape(f'{f}:3: {message}')}$"):
+            load(f)
+
 
 # ---------------------------------------------------------------------------
 # Bulk parser against the line-by-line reference
