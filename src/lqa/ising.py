@@ -441,8 +441,7 @@ def _parse_index(head: np.ndarray) -> np.ndarray:
 def _load_lines(path) -> IsingProblem:
     """Line-by-line parser: the reference for load_instance, and the path
     that reports a bad file's first bad line by number."""
-    entries: dict[tuple[int, int], float] = {}
-    biases: dict[int, float] = {}
+    rows: dict[tuple[int, ...], float] = {}  # (i,) for a bias, (lo, hi) for a pair
     fields: dict[str, float] = {}
     n = 0
     n_line = 0  # the line of the last `# n:` comment
@@ -466,45 +465,35 @@ def _load_lines(path) -> IsingProblem:
                         n_line = lineno
                 continue
             parts = line.split()
-            if len(parts) != 3:
-                raise ProblemFormatError(
-                    f"{path}:{lineno}: expected 3 fields, got {len(parts)}"
-                )
-            if parts[0] == "b":
-                try:
-                    i, val = int(parts[1]), float(parts[2])
-                except ValueError:
-                    raise ProblemFormatError(f"{path}:{lineno}: bad bias line") from None
-                if i < 0:
-                    raise ProblemFormatError(f"{path}:{lineno}: negative index")
-                _check_index(path, lineno, i)
-                if not math.isfinite(val):
-                    raise ProblemFormatError(f"{path}:{lineno}: non-finite bias {parts[2]}")
-                if i in biases:
-                    raise ProblemFormatError(f"{path}:{lineno}: duplicate bias for {i}")
-                biases[i] = val
-                n = max(n, i + 1)
-                continue
+            bias = parts[0] == "b"
+            kind = "bias" if bias else "coupling"
             try:
-                i, j, val = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError:
-                raise ProblemFormatError(f"{path}:{lineno}: bad coupling line") from None
-            if i < 0 or j < 0:
-                raise ProblemFormatError(f"{path}:{lineno}: negative index")
-            _check_index(path, lineno, max(i, j))
-            if i == j:
-                raise ProblemFormatError(
-                    f"{path}:{lineno}: self-coupling {i} {i} is not allowed"
-                )
-            if not math.isfinite(val):
-                raise ProblemFormatError(f"{path}:{lineno}: non-finite coupling {parts[2]}")
-            key = (min(i, j), max(i, j))
-            if key in entries:
-                raise ProblemFormatError(
-                    f"{path}:{lineno}: duplicate coupling for pair {key}"
-                )
-            entries[key] = val
-            n = max(n, i + 1, j + 1)
+                # a bias row's one index is read as both i and j; a row
+                # without three fields is named by its count below
+                i, j, val = int(parts[bias]), int(parts[1]), float(parts[2])
+                key = (i,) if bias else (i, j) if i < j else (j, i)
+            except (ValueError, IndexError):
+                key = None
+            if len(parts) != 3:
+                error = f"expected 3 fields, got {len(parts)}"
+            elif key is None:
+                error = f"bad {kind} line"
+            elif key[0] < 0:
+                error = "negative index"
+            elif key[-1] >= MAX_SPINS:
+                error = f"index {key[-1]} is at or above the cap of {MAX_SPINS} spins"
+            elif i == j and not bias:
+                error = f"self-coupling {i} {i} is not allowed"
+            elif not math.isfinite(val):
+                error = f"non-finite {kind} {parts[2]}"
+            elif key in rows:
+                error = f"duplicate bias for {i}" if bias else f"duplicate coupling for pair {key}"
+            else:
+                rows[key] = val
+                if key[-1] >= n:
+                    n = key[-1] + 1
+                continue
+            raise ProblemFormatError(f"{path}:{lineno}: {error}")
     n_comment = fields.pop("n", n)
     if n_comment < n:
         raise ProblemFormatError(
@@ -514,21 +503,14 @@ def _load_lines(path) -> IsingProblem:
     if n == 0:
         raise ProblemFormatError(f"{path}: no couplings or biases found")
     J = np.zeros((n, n))
-    for (i, j), val in entries.items():
-        J[i, j] = val
-        J[j, i] = val
-    J.setflags(write=False)  # fresh, so IsingProblem adopts it
     b = np.zeros(n)
-    for i, val in biases.items():
-        b[i] = val
+    for key, val in rows.items():
+        if len(key) == 1:
+            b[key] = val
+        else:
+            J[key] = J[key[::-1]] = val
+    J.setflags(write=False)  # fresh, so IsingProblem adopts it
     return IsingProblem(J=J, b=b, **fields)
-
-
-def _check_index(path, lineno: int, i: int) -> None:
-    if i >= MAX_SPINS:
-        raise ProblemFormatError(
-            f"{path}:{lineno}: index {i} is at or above the cap of {MAX_SPINS} spins"
-        )
 
 
 @contextlib.contextmanager
