@@ -236,6 +236,13 @@ def _run_pooled_trial(job: tuple[int, int]) -> TrialReport:
     return _run_trial(*_worker_batch, *job)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; workers beyond them only wait."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_batch(spec: BenchSpec, problems: dict[str, IsingProblem] | None = None) -> list[TrialReport]:
     """Run every (instance, trial) pair and return reports in
     deterministic (instance, trial) order regardless of worker count.
@@ -254,9 +261,12 @@ def run_batch(spec: BenchSpec, problems: dict[str, IsingProblem] | None = None) 
         p = problems[inst.id]
         if inst.maxcut and p.has_bias:
             raise ValueError(f"instance {inst.id!r}: maxcut needs a problem without bias")
-        work.append((p, graph_total_weight(p) if inst.maxcut else None))
+        total = graph_total_weight(p) if inst.maxcut else None
+        if total is not None and not np.isfinite(total):  # each cut would read inf or nan
+            raise ValueError(f"instance {inst.id!r}: maxcut needs a finite total edge weight")
+        work.append((p, total))
     jobs = [(inst_idx, trial) for inst_idx in range(len(work)) for trial in range(spec.trials)]
-    workers = min(spec.workers, len(jobs))
+    workers = min(spec.workers, len(jobs), _usable_cpus())
     if workers == 1:
         return [_run_trial(spec, work, *job) for job in jobs]
     with concurrent.futures.ProcessPoolExecutor(

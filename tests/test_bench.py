@@ -175,6 +175,7 @@ class TestRunBatch:
         context = multiprocessing.get_context(method)
         pool = functools.partial(concurrent.futures.ProcessPoolExecutor, mp_context=context)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(lqa.bench, "_usable_cpus", lambda: 2)  # a pool on any host
         pickles = self._count_problem_pickles(monkeypatch)
         assert self._untimed(run_batch(self._mixed_spec(workers=2))) == self._untimed(serial)
         assert 0 < len(pickles) <= 2 * 2  # two problems, at most once per worker
@@ -199,7 +200,8 @@ class TestRunBatch:
         parent = [problems[inst.id].J.ctypes.data for inst in spec.instances]
         assert run_batch(spec, problems) == [a for a in parent for _ in range(spec.trials)]
 
-    def test_pool_never_larger_than_the_job_count(self, monkeypatch):
+    @staticmethod
+    def _record_pool_sizes(monkeypatch, cpus):
         sizes = []
 
         class Recording(concurrent.futures.ProcessPoolExecutor):
@@ -208,8 +210,20 @@ class TestRunBatch:
                 super().__init__(max_workers, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(lqa.bench, "_usable_cpus", lambda: cpus)
+        return sizes
+
+    def test_pool_never_larger_than_the_job_count(self, monkeypatch):
+        sizes = self._record_pool_sizes(monkeypatch, cpus=8)
         run_batch(self._spec(trials=2, workers=8))
         run_batch(self._spec(trials=1, workers=4))  # one job runs in this process
+        assert sizes == [2]
+
+    def test_pool_never_larger_than_the_usable_cpus(self, monkeypatch):
+        # a pool starts all its workers at the first job, so a spec's
+        # "workers": 10000 must not fork 10000 processes
+        sizes = self._record_pool_sizes(monkeypatch, cpus=2)
+        run_batch(self._spec(trials=8, workers=8))
         assert sizes == [2]
 
     def test_report_order_is_instance_then_trial(self):
@@ -254,6 +268,15 @@ class TestRunBatch:
         spec = self._spec(instances=(InstanceSpec(id="cut", generator="pm1", n=2, maxcut=True),))
         with pytest.raises(ValueError, match="instance 'cut': maxcut needs a problem without bias"):
             run_batch(spec, problems={"cut": biased})
+
+    def test_overflowing_maxcut_fails_before_trials(self):
+        # the total edge weight 3e308 is inf: each cut would read inf or nan
+        J = np.full((3, 3), 1e308) - np.diag([1e308] * 3)
+        spec = self._spec(instances=(InstanceSpec(id="cut", generator="pm1", n=3, maxcut=True),))
+        with pytest.raises(
+            ValueError, match="^instance 'cut': maxcut needs a finite total edge weight$"
+        ):
+            run_batch(spec, problems={"cut": IsingProblem(J=J)})
 
     def test_unknown_generator_fails_before_trials(self):
         # the spec itself is rejected, before any instance is built

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import importlib.util
 import io
 import json
@@ -12,13 +13,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lqa
 import lqa.generators
 from lqa import SolverConfig, load_instance
-from lqa.bench import aggregate_traces, load_bench_spec, run_batch
+from lqa.bench import BenchSpec, InstanceSpec, aggregate_traces, load_bench_spec, run_batch
 from lqa.cli import ORACLE_SHOWN, build_parser, main
 from lqa.ising import MAX_SPINS
 from lqa.oracle import brute_force_ground
@@ -616,6 +617,58 @@ _SOLVE_EDITS = {
 }
 
 
+# JSON values a bench spec key may take: every JSON type and boundary
+# numbers. A key that sizes the run draws no valid value above its
+# bound here, so no draw starts a large pool or builds a large J.
+_JSON_VALUES = [0, -1, 1, 0.5, 1e308, math.nan, math.inf, True, "2", [], 16384]
+_RUN_BOUNDS = {"workers": 2, "trials": 3, "steps": 5, "n": 8}
+# instance files of the bench property: one loads, one has biases (no
+# cut), one overflows every trial, one is missing
+_BENCH_FILES = {
+    "valid": "0 1 1.0\n1 2 -0.5\n",
+    "biased": "0 1 1.0\n1 2 -0.5\nb 0 0.7\n",
+    "huge": "0 1 1e308\n0 2 1e308\n1 2 1e308\n",
+}
+_BENCH_SOURCES = [
+    {"generator": "pm1", "n": 8},
+    {"generator": "wishart", "n": 8, "alpha": 0.5},
+    *({"file": name} for name in [*_BENCH_FILES, "missing"]),
+]
+
+
+def _spec_values(key, extra=()):
+    bound = _RUN_BOUNDS.get(key)
+    if bound is None:
+        return [*_JSON_VALUES, *extra]
+    # bools and floats are the wrong JSON type for these int keys
+    return [v for v in _JSON_VALUES if type(v) is not int or v <= bound] + [bound, *extra]
+
+
+def _spec_edits(keys, extra, most):
+    """Up to ``most`` of ``keys``, each with a value from ``_spec_values``."""
+    return _edits({k: _spec_values(k, extra.get(k, ())) for k in keys}, most)
+
+
+@st.composite
+def _bench_spec(draw):
+    """A bench spec of 1-3 instances, with up to two of its keys and at
+    most one of each instance's set to drawn values; half the instances
+    are left as they are, so more specs run."""
+    inst_keys = [f.name for f in dataclasses.fields(InstanceSpec)]
+    inst_extra = {
+        "id": ["i0", "", "a,b"], "file": ["valid", "missing"], "generator": ["pm1", "wishart"],
+        "maxcut": [False],
+    }
+    inst_edits = st.just({}) | _spec_edits(inst_keys, inst_extra, 1)
+    instances = []
+    for k in range(draw(st.integers(1, 3))):
+        source = draw(st.sampled_from(_BENCH_SOURCES))
+        instances.append({"id": f"i{k}", **source, **draw(inst_edits)})
+    spec_keys = [f.name for f in dataclasses.fields(BenchSpec)] + ["version", "momentm"]
+    edits = draw(_spec_edits(spec_keys, {"optimizer": list(OPTIMIZERS), "version": [2]}, 2))
+    return {"version": 1, "steps": 5, "trials": 2, "instances": instances, **edits}
+
+
 # coupling and bias values an `lqa oracle` file may hold: each loads,
 # and 8.9e307 and 1e308 can overflow the energies
 _VALUES = ["0", "1", "-1", "0.5", "1e-320", "8.9e307", "1e308", "-1e308"]
@@ -639,9 +692,9 @@ def _oracle_file(draw):
     return "".join(line + "\n" for line in lines)
 
 
-def _edits(table):
-    """Up to two entries of ``table``, each with one of its values."""
-    keys = st.lists(st.sampled_from(sorted(table)), max_size=2, unique=True)
+def _edits(table, most=2):
+    """Up to ``most`` entries of ``table``, each with one of its values."""
+    keys = st.lists(st.sampled_from(sorted(table)), max_size=most, unique=True)
     return keys.flatmap(lambda ks: st.fixed_dictionaries({k: st.sampled_from(table[k]) for k in ks}))
 
 
@@ -677,11 +730,49 @@ def _assert_rejected(out, err, before, root):
 
 class TestEntryPointProperties:
     """A valid ``lqa generate`` or ``lqa solve`` argv with up to two
-    arguments set to boundary values either exits 1 before it prints or
-    writes anything, or runs to complete outputs; none ends in a
-    traceback. ``lqa oracle`` on a small file with boundary values either
-    prints a finite ground energy and its minimisers or exits non-zero
-    with one line on stderr."""
+    arguments set to boundary values, or an ``lqa bench`` spec with drawn
+    keys, either exits 1 before it prints or writes anything, or runs to
+    complete outputs; none ends in a traceback. ``lqa oracle`` on a small
+    file with boundary values either prints a finite ground energy and
+    its minimisers or exits non-zero with one line on stderr."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=_bench_spec())
+    # a Max-Cut file whose total edge weight overflows printed numpy's
+    # overflow warning, then failed every trial
+    @example(data={"version": 1, "steps": 5, "instances": [{"id": "i0", "file": "huge", "maxcut": True}]})
+    def test_bench_fails_fast_or_runs(self, tmp_path_factory, data):
+        with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as root:
+            os.mkdir(os.path.join(root, "in"))
+            for name, text in _BENCH_FILES.items():
+                Path(root, "in", name).write_text(text)
+            for inst in data["instances"] if isinstance(data.get("instances"), list) else ():
+                if isinstance(inst.get("file"), str):
+                    inst["file"] = os.path.join(root, "in", inst["file"])
+            spec_path = os.path.join(root, "spec.json")
+            Path(spec_path).write_text(json.dumps(data))
+            prefix = os.path.join(root, "run")
+            before = _tree(root)
+            code, out, err = _run_main(["bench", spec_path, "--output-prefix", prefix])
+            if code == 1:
+                _assert_rejected(out, err, before, root)
+                return
+            spec = load_bench_spec(spec_path)
+            jobs = len(spec.instances) * spec.trials
+            if code == 2:
+                assert err.startswith("lqa: runtime failure: ") and err.count("\n") == 1, err
+                assert out == ""
+            else:
+                assert (code, err) == (0, ""), err
+                assert re.fullmatch(rf"ran {jobs} trials \(\d+ failed\); wrote {prefix}_\*\.csv\n", out)
+            trials = Path(f"{prefix}_trials.csv").read_text().splitlines()
+            summary = Path(f"{prefix}_summary.csv").read_text().splitlines()
+            assert (len(trials), len(summary)) == (1 + jobs, 1 + len(spec.instances))
+            written = set(_tree(root)) - set(before)
+            traces = {f"run_{inst.id}_trace.csv" for inst in spec.instances}
+            assert {"run_trials.csv", "run_summary.csv"} <= written <= traces | {
+                "run_trials.csv", "run_summary.csv"
+            }
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(text=_oracle_file())
